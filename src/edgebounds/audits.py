@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -502,32 +502,47 @@ def _kappa_direct_cached(kap: complex) -> float:
     return kappa_series_direct(kap).value
 
 
+def _window_weights(tbl: PrimeTable, x: float) -> List[tuple]:
+    """Character-free factors of both window prime sums, built once per (tbl, x).
+
+    One tuple per exponent k: (p, p^k, k, 1 - k log p / log x, k p^k, log p,
+    1/p^k - 1/x). Every instance windowed at the same x shares them.
+    """
+    xf = float(x)
+    logx = math.log(xf)
+    out = []
+    for p_arr, pk_arr, k in prime_power_grid(tbl, xf):
+        lp = np.log(p_arr.astype(np.float64))
+        pk = pk_arr.astype(np.float64)
+        out.append((p_arr, pk_arr, k, 1.0 - k * lp / logx, k * pk, lp, 1.0 / pk - 1.0 / xf))
+    return out
+
+
 def _instance_prime_sums(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[list] = None
 ) -> Tuple[float, float]:
     """One pass over p^k <= x: (log-weight sum, linear-weight sum).
 
     log-weight: Re a(p^k) / (k p^k) * (1 - k log p / log x)
     linear-weight: Re a(p^k) * log p * (1/p^k - 1/x)
+
+    weights are _window_weights(tbl, x), built here when not given. Each sum
+    is one exactly rounded fsum, so it does not depend on the term order.
     """
     if inst.coeff_oracle is None:
         raise DomainError("instance has no coefficient oracle")
     if x > inst.oracle_support:
         raise DomainError("oracle support ends below x")
-    logx = math.log(x)
-    log_parts = []
-    lin_parts = []
-    for p_arr, pk_arr, k in prime_power_grid(tbl, x):
-        re_a = np.array(
-            [inst.coefficient(int(p), k).real for p in p_arr], dtype=np.float64
-        )
-        lp = np.log(p_arr.astype(np.float64))
-        pk = pk_arr.astype(np.float64)
-        log_parts.append(re_a * (1.0 - k * lp / logx) / (k * pk))
-        lin_parts.append(re_a * lp * (1.0 / pk - 1.0 / x))
-    s_log = math.fsum(np.concatenate(log_parts)) if log_parts else 0.0
-    s_lin = math.fsum(np.concatenate(lin_parts)) if lin_parts else 0.0
-    return s_log, s_lin
+    if weights is None:
+        weights = _window_weights(tbl, x)
+    log_terms: List[float] = []
+    lin_terms: List[float] = []
+    for p_arr, pk_arr, k, log_num, log_den, lp, lin_w in weights:
+        re_a = inst.coefficients(p_arr, pk_arr, k).real
+        # keep this operation order: every window document depends on each bit
+        log_terms += (re_a * log_num / log_den).tolist()
+        lin_terms += (re_a * lp * lin_w).tolist()
+    return math.fsum(log_terms), math.fsum(lin_terms)
 
 
 def _gamma_block(inst: LFunctionInstance) -> float:
@@ -538,17 +553,22 @@ def _gamma_block(inst: LFunctionInstance) -> float:
     return math.fsum(acc)
 
 
-def _windows(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float
-) -> Tuple[Interval, Interval]:
+def _check_window_x(x: float) -> float:
     xf = float(x)
     if xf < 132.0:
         raise DomainError("windows need x >= 132")
+    return xf
+
+
+def _windows(
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[list] = None
+) -> Tuple[Interval, Interval]:
+    xf = _check_window_x(x)
     d = inst.d
     l = inst.zero_param_count()
     logx = math.log(xf)
     sqx = math.sqrt(xf)
-    s_log, s_lin = _instance_prime_sums(inst, tbl, xf)
+    s_log, s_lin = _instance_prime_sums(inst, tbl, xf, weights)
     gblock = _gamma_block(inst)
     tx = trivial_zero_tail(xf).value
 
@@ -594,10 +614,13 @@ def reB_window(inst: LFunctionInstance, tbl: PrimeTable, x: float) -> Interval:
 
 
 def explicit_formula_window(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[list] = None
 ) -> Interval:
-    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case."""
-    return _windows(inst, tbl, x)[1]
+    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
+
+    weights may carry _window_weights(tbl, x) shared across instances.
+    """
+    return _windows(inst, tbl, x, weights)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -723,37 +746,42 @@ def _lemma26_records(tbl: PrimeTable) -> List[AuditRecord]:
     return out
 
 
-def _window_records(tbl: PrimeTable, q_max: int, x: float) -> List[AuditRecord]:
-    from .dirichlet import enumerate_characters, l1_value
+def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditRecord]:
+    """Window record per primitive non-principal character, one shared grid.
+
+    Each record holds log|L(1,chi)| (lhs) against the midpoint of its
+    explicit-formula window at x; it PASSes when the window contains it.
+    """
+    from .dirichlet import l1_value
     from .lfunc import dirichlet_instance
 
     out = []
-    for q in range(3, q_max + 1):
-        for chi in enumerate_characters(q, primitive_only=True):
-            if chi.is_principal:
-                continue
-            inst = dirichlet_instance(chi)
-            iv = explicit_formula_window(inst, tbl, x)
-            truth = math.log(abs(l1_value(chi)))
-            mid = 0.5 * (iv.lo + iv.hi)
-            half = 0.5 * iv.width()
-            out.append(
-                AuditRecord(
-                    id="window",
-                    params={
-                        "q": q,
-                        "char_index": chi.index,
-                        "x": float(x),
-                        "lo": iv.lo,
-                        "hi": iv.hi,
-                    },
-                    lhs=truth,
-                    rhs=mid,
-                    window=half,
-                    residual=truth - mid,
-                    verdict="PASS" if iv.contains(truth) else "FAIL",
-                )
+    weights = None
+    for chi in chars:
+        inst = dirichlet_instance(chi)
+        if weights is None:
+            weights = _window_weights(tbl, _check_window_x(x))
+        iv = explicit_formula_window(inst, tbl, x, weights)
+        truth = math.log(abs(l1_value(chi)))
+        mid = 0.5 * (iv.lo + iv.hi)
+        half = 0.5 * iv.width()
+        out.append(
+            AuditRecord(
+                id="window",
+                params={
+                    "q": chi.modulus,
+                    "char_index": chi.index,
+                    "x": float(x),
+                    "lo": iv.lo,
+                    "hi": iv.hi,
+                },
+                lhs=truth,
+                rhs=mid,
+                window=half,
+                residual=truth - mid,
+                verdict="PASS" if iv.contains(truth) else "FAIL",
             )
+        )
     return out
 
 
@@ -798,7 +826,15 @@ def run_audit(
             a_terms_audit("lower", 2, 0, (0.5, 1.5), 1e4),
         ]
     if audit_id == "window":
+        from .dirichlet import enumerate_characters
+
         if tbl is None:
-            tbl = build_table(int(x))
-        return _window_records(tbl, q_max, x)
+            tbl = build_table(math.ceil(x))
+        chars = (
+            chi
+            for q in range(3, q_max + 1)
+            for chi in enumerate_characters(q, primitive_only=True)
+            if not chi.is_principal
+        )
+        return window_records(tbl, chars, x)
     raise DomainError("unknown audit id %r" % (audit_id,))

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 from . import audits, bounds, dirichlet, primes
 from ._jsonio import dumps_report, json_ready
 from .errors import DomainError, EdgeboundsError
-from .lfunc import dirichlet_instance
 
 SCHEMA = "edgebounds-report/1"
 
@@ -237,30 +236,8 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
 
     if cmd == "window":
         tbl = primes.build_table(cfg.sieve_limit)
-        recs = []
-        rows = []
-        for chi in _selected_chars(cfg.q, cfg.index):
-            inst = dirichlet_instance(chi)
-            iv = audits.explicit_formula_window(inst, tbl, cfg.x)
-            truth = math.log(abs(dirichlet.l1_value(chi)))
-            mid = 0.5 * (iv.lo + iv.hi)
-            rec = audits.AuditRecord(
-                id="window",
-                params={
-                    "q": cfg.q,
-                    "char_index": chi.index,
-                    "x": float(cfg.x),
-                    "lo": iv.lo,
-                    "hi": iv.hi,
-                },
-                lhs=truth,
-                rhs=mid,
-                window=0.5 * iv.width(),
-                residual=truth - mid,
-                verdict="PASS" if iv.contains(truth) else "FAIL",
-            )
-            recs.append(rec)
-            rows.append(rec.to_json_dict())
+        recs = audits.window_records(tbl, _selected_chars(cfg.q, cfg.index), cfg.x)
+        rows = [r.to_json_dict() for r in recs]
         params = {"q": cfg.q, "index": cfg.index, "x": cfg.x, "sieve_limit": cfg.sieve_limit}
         return _doc("window", params, {"records": rows}), recs
 

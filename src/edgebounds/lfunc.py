@@ -2,15 +2,19 @@
 
 An instance carries the degree, the arithmetic conductor, the d spectral
 parameters (all with nonnegative real part), and optionally a coefficient
-oracle (p, k) -> a(p^k) with |a| <= d. Two factories cover the concrete
-cases used by the laboratory: primitive Dirichlet characters (degree 1) and
-holomorphic cusp-form shapes (degree 2).
+oracle (p, k) -> a(p^k) with |a| <= d. When a(p^k) depends on p^k mod q
+only, a residue table turns the coefficients of a whole exponent segment
+into one array lookup. Two factories cover the concrete cases used by the
+laboratory: primitive Dirichlet characters (degree 1) and holomorphic
+cusp-form shapes (degree 2).
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .constants import PI
 from .errors import DomainError
@@ -48,6 +52,8 @@ class LFunctionInstance:
     coeff_oracle: Optional[CoeffOracle] = None
     label: str = ""
     oracle_support: float = math.inf
+    # a(p^k) = coeff_table[p^k % q]; must agree with coeff_oracle
+    coeff_table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -78,6 +84,29 @@ class LFunctionInstance:
         a = complex(self.coeff_oracle(p, k))
         if abs(a) > self.d + 1e-9:
             raise DomainError("coefficient bound |a| <= d violated at (%d, %d)" % (p, k))
+        return a
+
+    def coefficients(self, p_arr: np.ndarray, pk_arr: np.ndarray, k: int) -> np.ndarray:
+        """a(p^k) for one exponent k over arrays of primes p and powers p^k.
+
+        A residue table is indexed once; a plain oracle is called per prime.
+        Support and the |a| <= d bound are checked on the whole segment.
+        """
+        if self.coeff_oracle is None:
+            raise DomainError("instance %r has no coefficient oracle" % (self.label,))
+        if np.any(pk_arr > self.oracle_support):
+            raise DomainError("coefficient oracle support ends at %r" % (self.oracle_support,))
+        if self.coeff_table is not None:
+            a = self.coeff_table[pk_arr % self.q]
+        else:
+            a = np.array(
+                [complex(self.coeff_oracle(int(p), k)) for p in p_arr], dtype=np.complex128
+            )
+        bad = np.flatnonzero(np.abs(a) > self.d + 1e-9)
+        if bad.size:
+            raise DomainError(
+                "coefficient bound |a| <= d violated at (%d, %d)" % (p_arr[bad[0]], k)
+            )
         return a
 
     def to_json_dict(self) -> dict:
@@ -120,6 +149,7 @@ def dirichlet_instance(chi) -> LFunctionInstance:
         local_params=(complex(chi.parity),),
         coeff_oracle=oracle,
         label="dirichlet:%d:%d" % (q, chi.index),
+        coeff_table=chi.value_table(),
     )
 
 

@@ -8,18 +8,28 @@ import pytest
 
 from edgebounds import (
     DomainError,
+    LFunctionInstance,
     b_constant,
+    build_table,
     dirichlet_instance,
     enumerate_characters,
     explicit_formula_window,
     extremum_h,
     extremum_logratio,
+    hecke_instance,
     identity_residual_techlem1,
     reB_window,
     run_audit,
     verify_p2_positivity,
 )
-from edgebounds.audits import AUDIT_IDS, AuditRecord, Interval
+from edgebounds.audits import (
+    AUDIT_IDS,
+    AuditRecord,
+    Interval,
+    _instance_prime_sums,
+    _window_weights,
+)
+from edgebounds.primes import prime_power_grid
 
 
 def test_audit_id_registry():
@@ -238,6 +248,69 @@ def test_window_requires_x_floor(table6):
     inst = dirichlet_instance(chars[1])
     with pytest.raises(DomainError):
         explicit_formula_window(inst, table6, 100.0)
+
+
+def _per_prime_prime_sums(inst, tbl, x):
+    """Reference: one inst.coefficient call per prime power, per-segment terms."""
+    logx = math.log(x)
+    log_parts, lin_parts = [], []
+    for p_arr, pk_arr, k in prime_power_grid(tbl, x):
+        re_a = np.array([inst.coefficient(int(p), k).real for p in p_arr], dtype=np.float64)
+        lp = np.log(p_arr.astype(np.float64))
+        pk = pk_arr.astype(np.float64)
+        log_parts.append(re_a * (1.0 - k * lp / logx) / (k * pk))
+        lin_parts.append(re_a * lp * (1.0 / pk - 1.0 / x))
+    return math.fsum(np.concatenate(log_parts)), math.fsum(np.concatenate(lin_parts))
+
+
+@pytest.mark.parametrize("q", [3, 8, 12, 45, 49])
+def test_window_prime_sums_equal_per_prime_reference(table6, q):
+    chars = [c for c in enumerate_characters(q, primitive_only=True) if not c.is_principal]
+    assert chars
+    for x in (132.0, 1000.5, 1e5, 1e6):
+        weights = _window_weights(table6, x)
+        # the per-prime reference costs about 0.1 s per character at 1e6
+        for chi in chars if x <= 1e5 else chars[:2]:
+            inst = dirichlet_instance(chi)
+            want = _per_prime_prime_sums(inst, table6, x)
+            assert _instance_prime_sums(inst, table6, x) == want
+            assert _instance_prime_sums(inst, table6, x, weights) == want
+            # the same values through a plain callable oracle (no residue table)
+            plain = LFunctionInstance(
+                d=1,
+                q=q,
+                local_params=inst.local_params,
+                coeff_oracle=lambda p, k, chi=chi: chi.value(pow(p, k, q)),
+                label="plain",
+            )
+            assert _instance_prime_sums(plain, table6, x, weights) == want
+
+
+def test_window_rejects_bad_or_missing_coefficients(table4):
+    bad = LFunctionInstance(
+        d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: 5.0, label="bad"
+    )
+    with pytest.raises(DomainError):
+        explicit_formula_window(bad, table4, 1000.0)
+    bad_table = LFunctionInstance(
+        d=1,
+        q=3,
+        local_params=(0.0,),
+        coeff_oracle=lambda p, k: 1.0,
+        label="bad-table",
+        coeff_table=np.full(3, 5.0 + 0j),
+    )
+    with pytest.raises(DomainError):
+        explicit_formula_window(bad_table, table4, 1000.0)
+    with pytest.raises(DomainError):
+        explicit_formula_window(hecke_instance(12, 1), table4, 1000.0)
+
+
+def test_window_audit_sizes_its_own_table_for_fractional_x(table6):
+    recs = run_audit("window", q_max=5, x=10000.5)
+    assert len(recs) == 5 and all(r.verdict == "PASS" for r in recs)
+    ref = run_audit("window", tbl=table6, q_max=5, x=10000.5)
+    assert [r.to_json_dict() for r in recs] == [r.to_json_dict() for r in ref]
 
 
 def test_extremum_h_deterministic():

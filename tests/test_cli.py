@@ -1,11 +1,13 @@
 """CLI contract: document schema, exit codes, determinism, formats."""
 
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +148,27 @@ def test_window_subcommand_frozen():
     assert rec["params"]["lo"] == pytest.approx(-0.24159498944669316, rel=1e-12)
     assert rec["params"]["hi"] == pytest.approx(-0.24150200802510394, rel=1e-12)
     assert rec["lhs"] == pytest.approx(-0.2415644752704905, rel=1e-13)
+
+
+def test_window_sweep_trace_contract():
+    # perfbench's outside tracer patches the package's import sites; the
+    # window audit must keep them and build one prime-power grid in all.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        code, _, _ = cap(
+            ["audit", "--id", "window", "--qmax", "7", "--x", "1000", "--sieve-limit", "1000"]
+        )
+    finally:
+        tracer.restore()
+    assert code == 0
+    rep = tracer.report()
+    assert rep["primes.prime_power_grid.calls"] == 1
+    assert rep["lfunc.coefficient.calls"] == 0
 
 
 def test_primesums_document():

@@ -131,6 +131,14 @@ def test_coefficient_bound_enforced():
     )
     with pytest.raises(DomainError):
         bad.coefficient(2, 1)
+    with pytest.raises(DomainError):
+        bad.coefficients(np.array([2, 3]), np.array([4, 9]), 2)
+    short = LFunctionInstance(
+        d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: 1.0, oracle_support=100.0
+    )
+    assert short.coefficients(np.array([2, 7]), np.array([4, 49]), 2).tolist() == [1, 1]
+    with pytest.raises(DomainError):
+        short.coefficients(np.array([7, 11]), np.array([49, 121]), 2)
 
 
 def test_instance_json_shape():
