@@ -3,11 +3,10 @@
 Public surface: the instance model (lfunc), envelope evaluation (bounds),
 prime-power sums (primes), special functions (special), the degree-1
 laboratory (dirichlet), inequality/identity/window audits (audits), and
-the CLI (cli). The numeric kernel backend in use is reported by
-``kernel_backend()``.
+the CLI (cli). The smallest-prime-factor sieve behind every prime table is
+one NumPy routine, so ``kernel_backend()`` always reports ``"python"``.
 """
 
-from ._kernel import BACKEND as _BACKEND
 from .audits import (
     AuditRecord,
     Interval,
@@ -77,8 +76,8 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """'compiled' when the accelerated sieve extension is active."""
-    return _BACKEND
+    """Name of the sieve implementation; the NumPy sieve is the only one."""
+    return "python"
 
 
 __all__ = [

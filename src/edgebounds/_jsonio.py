@@ -10,25 +10,21 @@ import json
 import math
 from typing import Any
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency elsewhere
-    _np = None
+import numpy as np
 
 
 def json_ready(obj: Any) -> Any:
     """Rewrite obj into plain JSON-safe types under the policy above."""
-    if _np is not None:
-        if isinstance(obj, _np.bool_):
-            return bool(obj)
-        if isinstance(obj, _np.integer):
-            return int(obj)
-        if isinstance(obj, _np.floating):
-            obj = float(obj)
-        elif isinstance(obj, _np.complexfloating):
-            obj = complex(obj)
-        elif isinstance(obj, _np.ndarray):
-            obj = obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.complexfloating):
+        obj = complex(obj)
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):

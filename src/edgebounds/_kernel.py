@@ -1,42 +1,20 @@
-"""Sieve backend selection.
+"""Smallest-prime-factor sieve in NumPy.
 
-Imports the compiled linear-sieve extension when it was built, otherwise
-falls back to the NumPy implementation. Both produce bit-identical arrays;
-EDGEBOUNDS_NO_EXT=1 forces the fallback (used by the backend-equality tests
-and the benchmark).
+Masked-assignment Eratosthenes: for each prime p up to sqrt(limit), stamp p
+into the still-unstamped slots of spf[p*p::p]; whatever remains unstamped at
+the end is prime.
 """
 
-import math
-import os
-
 import numpy as np
-
-from . import _spf_fallback
-
-BACKEND = "python"
-_fill_spf = None
-
-if os.environ.get("EDGEBOUNDS_NO_EXT") != "1":
-    try:
-        from ._spfsieve import fill_spf as _fill_spf  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _fill_spf = None
-
-
-def _prime_count_upper(limit: int) -> int:
-    # pi(x) < 1.26 x / log x for x >= 17.
-    if limit < 17:
-        return 8
-    return int(1.26 * limit / math.log(limit)) + 8
 
 
 def spf_array(limit: int) -> np.ndarray:
     """Smallest prime factor of every n in [0, limit]; 0 below 2."""
-    if BACKEND == "compiled":
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        scratch = np.zeros(_prime_count_upper(limit), dtype=np.int32)
-        _fill_spf(spf, scratch)
-        return spf
-    return _spf_fallback.spf_array(limit)
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, int(limit ** 0.5) + 1):
+        if spf[p] == 0:
+            block = spf[p * p:: p]
+            block[block == 0] = p
+    unmarked = np.nonzero(spf[2:] == 0)[0]
+    spf[unmarked + 2] = (unmarked + 2).astype(np.int32)
+    return spf

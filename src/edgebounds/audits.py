@@ -26,6 +26,7 @@ from .lfunc import LFunctionInstance
 from .primes import (
     PrimeTable,
     build_table,
+    factorize,
     prime_power_grid,
     smoothed_sum_linear,
     smoothed_sum_log,
@@ -40,22 +41,6 @@ from .special import (
 )
 
 Number = Union[float, complex]
-
-AUDIT_IDS = (
-    "trig",
-    "p2",
-    "hmax",
-    "logratio",
-    "techlem1",
-    "techlem2",
-    "chandee",
-    "bconst",
-    "lemma24",
-    "lemma26",
-    "aterms",
-    "window",
-)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -144,22 +129,6 @@ def verify_trig_inequality(
     )
 
 
-def _is_prime_power_int(n: int) -> bool:
-    if n < 2:
-        return False
-    p = None
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-            return m == 1
-        d += 1
-    return True  # m prime
-
-
 def verify_p2_positivity(
     x: float, r_steps: int = 200, theta_steps: int = 512
 ) -> AuditRecord:
@@ -173,7 +142,7 @@ def verify_p2_positivity(
     xf = float(x)
     if xf < 100.0:
         raise DomainError("need x >= 100, got %r" % (x,))
-    if xf == math.floor(xf) and _is_prime_power_int(int(xf)):
+    if xf == math.floor(xf) and len(factorize(int(xf))) == 1:
         raise DomainError("x=%r is a prime power" % (x,))
     kk = int(math.floor(math.log2(xf)))
     while 2.0 ** (kk + 1) <= xf:
@@ -785,6 +754,51 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
     return out
 
 
+def _window_audit_records(tbl: PrimeTable, q_max: int, x: float) -> List[AuditRecord]:
+    from .dirichlet import enumerate_characters
+
+    chars = (
+        chi
+        for q in range(3, q_max + 1)
+        for chi in enumerate_characters(q, primitive_only=True)
+        if not chi.is_principal
+    )
+    return window_records(tbl, chars, x)
+
+
+# id -> records(tbl, grid_steps, q_max, x). Entries call module globals at
+# run time, so a function patched on this module is the one that runs.
+_AUDITS: Dict[str, Callable[[Optional[PrimeTable], int, int, float], List[AuditRecord]]] = {
+    "trig": lambda tbl, g, q, x: [verify_trig_inequality(theta_steps=g)],
+    "p2": lambda tbl, g, q, x: [
+        verify_p2_positivity(xx, theta_steps=g) for xx in (100.5, 132.25, 1009.3)
+    ],
+    "hmax": lambda tbl, g, q, x: [extremum_h(grid_steps=g)],
+    "logratio": lambda tbl, g, q, x: [extremum_logratio(grid_steps=g)],
+    "techlem1": lambda tbl, g, q, x: [identity_residual_techlem1()],
+    "techlem2": lambda tbl, g, q, x: [verify_techlem2_grid()],
+    "chandee": lambda tbl, g, q, x: [verify_chandee_grid()],
+    "bconst": lambda tbl, g, q, x: [verify_b_constant()],
+    "lemma24": lambda tbl, g, q, x: _lemma24_records(tbl),
+    "lemma26": lambda tbl, g, q, x: _lemma26_records(tbl),
+    "aterms": lambda tbl, g, q, x: [
+        a_terms_audit("upper", 1, 1, (), 132.25),
+        a_terms_audit("lower", 2, 0, (0.5, 1.5), 1e4),
+    ],
+    "window": lambda tbl, g, q, x: _window_audit_records(tbl, q, x),
+}
+
+# id -> sieve limit of its default prime table, for the ids that read one
+_DEFAULT_TABLE_LIMIT: Dict[str, Callable[[float], int]] = {
+    "lemma24": lambda x: 10 ** 6,
+    "lemma26": lambda x: 10 ** 6,
+    "window": math.ceil,
+}
+
+AUDIT_IDS = tuple(_AUDITS)
+TABLE_AUDIT_IDS = tuple(_DEFAULT_TABLE_LIMIT)
+
+
 def run_audit(
     audit_id: str,
     tbl: Optional[PrimeTable] = None,
@@ -793,48 +807,9 @@ def run_audit(
     x: float = 1e5,
 ) -> List[AuditRecord]:
     """Dispatch one audit id to its records (see AUDIT_IDS)."""
-    if audit_id == "trig":
-        return [verify_trig_inequality(theta_steps=grid_steps)]
-    if audit_id == "p2":
-        return [
-            verify_p2_positivity(xx, theta_steps=grid_steps)
-            for xx in (100.5, 132.25, 1009.3)
-        ]
-    if audit_id == "hmax":
-        return [extremum_h(grid_steps=grid_steps)]
-    if audit_id == "logratio":
-        return [extremum_logratio(grid_steps=grid_steps)]
-    if audit_id == "techlem1":
-        return [identity_residual_techlem1()]
-    if audit_id == "techlem2":
-        return [verify_techlem2_grid()]
-    if audit_id == "chandee":
-        return [verify_chandee_grid()]
-    if audit_id == "bconst":
-        return [verify_b_constant()]
-    if audit_id == "lemma24":
-        if tbl is None:
-            tbl = build_table(10 ** 6)
-        return _lemma24_records(tbl)
-    if audit_id == "lemma26":
-        if tbl is None:
-            tbl = build_table(10 ** 6)
-        return _lemma26_records(tbl)
-    if audit_id == "aterms":
-        return [
-            a_terms_audit("upper", 1, 1, (), 132.25),
-            a_terms_audit("lower", 2, 0, (0.5, 1.5), 1e4),
-        ]
-    if audit_id == "window":
-        from .dirichlet import enumerate_characters
-
-        if tbl is None:
-            tbl = build_table(math.ceil(x))
-        chars = (
-            chi
-            for q in range(3, q_max + 1)
-            for chi in enumerate_characters(q, primitive_only=True)
-            if not chi.is_principal
-        )
-        return window_records(tbl, chars, x)
-    raise DomainError("unknown audit id %r" % (audit_id,))
+    records = _AUDITS.get(audit_id)
+    if records is None:
+        raise DomainError("unknown audit id %r" % (audit_id,))
+    if tbl is None and audit_id in _DEFAULT_TABLE_LIMIT:
+        tbl = build_table(_DEFAULT_TABLE_LIMIT[audit_id](x))
+    return records(tbl, grid_steps, q_max, x)

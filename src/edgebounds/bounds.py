@@ -74,8 +74,11 @@ def constants(d: int) -> BoundConstants:
     """Closed-form K, J1, J2; expm1 keeps small-d relative error near 1 ulp."""
     if d < 1:
         raise DomainError("degree must be >= 1")
-    e31 = math.expm1(0.31 * d) - 0.31 * d
-    e69 = math.expm1(0.69 * d) - 0.69 * d
+    try:
+        e31 = math.expm1(0.31 * d) - 0.31 * d
+        e69 = math.expm1(0.69 * d) - 0.69 * d
+    except OverflowError:
+        raise DomainError("degree %d overflows the constants K, J1, J2" % (d,)) from None
     return BoundConstants(
         d=d,
         K=2.31 + 22.59 / d * e31,
@@ -87,11 +90,14 @@ def constants(d: int) -> BoundConstants:
 def _ipow(y: float, n: int) -> float:
     # d=1 makes the trailing term a genuine negative power of Y; the
     # only non-finite case is Y = 0 exactly, far below the valid range.
-    if n >= 0:
-        return y ** n
-    if y == 0.0:
+    if n < 0 and y == 0.0:
         return math.inf
-    return y ** n
+    try:
+        return y ** n
+    except OverflowError:
+        raise DomainError(
+            "%r ** %d overflows a double; the degree is too large" % (y, n)
+        ) from None
 
 
 def _full_report(d: int, logC: float) -> BoundReport:
@@ -106,13 +112,13 @@ def _full_report(d: int, logC: float) -> BoundReport:
     x = logC * logC / (4.0 * d * d)
     valid = logC >= 23.0 * d
 
-    up_scale = TWO_E_GAMMA ** d
+    up_scale = _ipow(TWO_E_GAMMA, d)
     up_leading = _ipow(Y, d)
     up_half = 0.5 * d * _ipow(Y, d - 1)
     up_k = 0.25 * d * c.K * _ipow(Y, d - 2)
     upper = up_scale * (up_leading + up_half + up_k)
 
-    lo_scale = TWELVE_E_GAMMA_OVER_PI2 ** d
+    lo_scale = _ipow(TWELVE_E_GAMMA_OVER_PI2, d)
     lo_leading = up_leading
     lo_half = up_half
     lo_j1 = 0.25 * d * c.J1 * _ipow(Y, d - 2)
@@ -170,4 +176,4 @@ def littlewood_reference(d: int, logC: float) -> Tuple[float, float]:
     if logC <= 1.0:
         raise DomainError("need logC > 1 for log log C")
     L = math.log(logC)
-    return ((TWO_E_GAMMA * L) ** d, (TWELVE_E_GAMMA_OVER_PI2 * L) ** d)
+    return (_ipow(TWO_E_GAMMA * L, d), _ipow(TWELVE_E_GAMMA_OVER_PI2 * L, d))

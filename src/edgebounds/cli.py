@@ -218,7 +218,7 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
 
     if cmd == "audit":
         tbl = None
-        if cfg.audit_id in ("lemma24", "lemma26", "window"):
+        if cfg.audit_id in audits.TABLE_AUDIT_IDS:
             tbl = primes.build_table(cfg.sieve_limit)
         recs = audits.run_audit(
             cfg.audit_id, tbl=tbl, grid_steps=cfg.grid_steps, q_max=cfg.qmax, x=cfg.x
@@ -290,16 +290,6 @@ def _render_text(obj: object, indent: int = 0) -> List[str]:
     return lines
 
 
-def _survey_csv(rows: List[dict]) -> str:
-    header = dirichlet._CSV_HEADER
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(dirichlet._csv_cell(row[k]) for k in header.split(","))
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _emit(cfg: RunConfig, doc: dict) -> Optional[str]:
     if cfg.format == "json":
         return dumps_report(doc)
@@ -307,7 +297,7 @@ def _emit(cfg: RunConfig, doc: dict) -> Optional[str]:
         return "\n".join(_render_text(json_ready(doc))) + "\n"
     if cfg.format == "csv":
         if doc.get("command") == "dirichlet.survey":
-            return _survey_csv(doc["records"])
+            return dirichlet.survey_csv(doc["records"])
         return None
     return None
 
@@ -333,8 +323,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print("error: %s" % (e,), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if any(r.verdict == "FAIL" for r in recs) else 0

@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import upper_bound
 from .errors import DomainError
 from .lfunc import analytic_conductor, dirichlet_instance
+from .primes import factorize
 from .special import digamma_rational
 
 __all__ = [
@@ -34,38 +35,8 @@ __all__ = [
 ]
 
 
-def _prime_factors(n: int) -> Tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def _factorize(q: int) -> List[Tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            e = 0
-            while q % d == 0:
-                q //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if q > 1:
-        out.append((q, 1))
-    return out
-
-
 def _least_primitive_root(pe: int, phi: int) -> int:
-    factors = _prime_factors(phi)
+    factors = [p for p, _e in factorize(phi)]
     g = 2
     while True:
         if math.gcd(g, pe) == 1 and all(pow(g, phi // f, pe) != 1 for f in factors):
@@ -88,7 +59,7 @@ class _UnitGroup:
     def __init__(self, q: int) -> None:
         self.q = q
         comps: List[_Component] = []
-        for p, e in _factorize(q):
+        for p, e in factorize(q):
             pe = p ** e
             if p == 2:
                 if e == 1:
@@ -378,6 +349,17 @@ def _csv_cell(v: object) -> str:
     return str(v)
 
 
+def survey_csv(rows: List[dict]) -> str:
+    """CSV document of survey rows (SurveyRecord.to_json_dict), header first.
+
+    Nulls become empty cells, booleans lowercase, floats their repr.
+    """
+    lines = [_CSV_HEADER]
+    for row in rows:
+        lines.append(",".join(_csv_cell(row[k]) for k in _CSV_HEADER.split(",")))
+    return "\n".join(lines) + "\n"
+
+
 def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
     """Envelope comparison over primitive non-principal chi, 3 <= q <= q_max."""
     if q_max < 3:
@@ -413,14 +395,11 @@ def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
             )
     records.sort(key=lambda r: (r.q, r.char_index))
     if out is not None:
-        lines = [_CSV_HEADER]
-        for r in records:
-            d = r.to_json_dict()
-            lines.append(",".join(_csv_cell(d[k]) for k in _CSV_HEADER.split(",")))
+        rows = [r.to_json_dict() for r in records]
         with open(out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(survey_csv(rows))
         from ._jsonio import dumps_report
 
         with open(out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(dumps_report([r.to_json_dict() for r in records]))
+            fh.write(dumps_report(rows))
     return records

@@ -3,11 +3,12 @@
 A smallest-prime-factor table drives everything: prime powers up to x are
 enumerated per exponent, term arrays are built vectorized, and every final
 reduction is an exactly-rounded compensated sum over a fixed term order, so
-results are identical across sieve backends and run counts.
+results are identical across runs.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import numpy as np
 
@@ -62,16 +63,29 @@ def build_table(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, spf=spf, _primes=primes)
 
 
+def factorize(n: int) -> List[Tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def mangoldt(tbl: PrimeTable, n: int) -> float:
-    """log p when n = p^k, else 0."""
+    """log p when n = p^k, else 0 (also 0 beyond the table)."""
     n = int(n)
-    if n < 2 or n > tbl.limit:
+    if n > tbl.limit or not is_prime_power(tbl, n):
         return 0.0
-    p = int(tbl.spf[n])
-    m = n
-    while m % p == 0:
-        m //= p
-    return math.log(p) if m == 1 else 0.0
+    return math.log(int(tbl.spf[n]))
 
 
 def is_prime_power(tbl: PrimeTable, n: int) -> bool:

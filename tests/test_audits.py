@@ -24,6 +24,7 @@ from edgebounds import (
 )
 from edgebounds.audits import (
     AUDIT_IDS,
+    TABLE_AUDIT_IDS,
     AuditRecord,
     Interval,
     _instance_prime_sums,
@@ -37,6 +38,7 @@ def test_audit_id_registry():
         "trig", "p2", "hmax", "logratio", "techlem1", "techlem2",
         "chandee", "bconst", "lemma24", "lemma26", "aterms", "window",
     )
+    assert TABLE_AUDIT_IDS == ("lemma24", "lemma26", "window")
     with pytest.raises(DomainError):
         run_audit("nonesuch")
 
@@ -80,6 +82,9 @@ def test_p2_domain_rejections():
         verify_p2_positivity(99.0)
     with pytest.raises(DomainError):
         verify_p2_positivity(1024.0)  # integral prime power not allowed
+    with pytest.raises(DomainError):
+        verify_p2_positivity(1009.0)  # a prime is a prime power
+    assert verify_p2_positivity(1000.0, r_steps=8, theta_steps=8).verdict == "PASS"
 
 
 def test_h_extremum_frozen_report():

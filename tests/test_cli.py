@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from edgebounds import survey
 from edgebounds.cli import run
 
 
@@ -119,7 +120,7 @@ def test_dirichlet_l1_bad_index_exit_two():
     assert "error:" in err
 
 
-def test_survey_csv_shape():
+def test_survey_csv_shape(tmp_path):
     code, text, _ = cap(["dirichlet", "survey", "--qmax", "8", "--format", "csv"])
     assert code == 0
     lines = text.strip().split("\n")
@@ -129,6 +130,9 @@ def test_survey_csv_shape():
     assert len(lines) == 13  # 12 primitive non-principal characters below 9
     assert lines[1].split(",")[0] == "3"
     assert lines[1].endswith(",,false,")
+    # the library's survey(out=) file is the same document
+    survey(8, out=str(tmp_path / "s"))
+    assert (tmp_path / "s.csv").read_text() == text
 
 
 def test_survey_json_frozen_row():
@@ -188,6 +192,29 @@ def test_out_flag_writes_file(tmp_path):
     assert text == ""
     doc = json.loads(target.read_text())
     assert doc["constants"]["K"] == pytest.approx(3.516873328245897, rel=1e-14)
+
+
+def test_out_flag_unwritable_exit_two(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, text, err = cap(["constants", "--d", "1", "--out", str(target)])
+    assert code == 2 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_overflowing_degree_exit_two():
+    for argv in (
+        ["bound", "--d", "209", "--log-conductor", "4807"],  # Littlewood power
+        ["bound", "--d", "600", "--log-conductor", "2"],  # (2 e^gamma)^d
+        ["constants", "--d", "1029"],  # expm1(0.69 d)
+    ):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    # the largest degrees that evaluate keep working
+    code, text, _ = cap(["bound", "--d", "208", "--log-conductor", "4807"])
+    assert code == 0 and json.loads(text)["report"]["littlewood"]["upper"] > 1e307
+    assert cap(["constants", "--d", "1028"])[0] == 0
 
 
 def test_text_format_renders():

@@ -1,0 +1,23 @@
+"""Packaging: pure Python, with nothing generated or ignored under version control."""
+
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_no_compiled_sieve_in_package_or_build():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    build_system = pyproject.split("[build-system]", 1)[1].split("\n[", 1)[0]
+    assert "cython" not in build_system.lower()
+    pkg = ROOT / "src" / "edgebounds"
+    assert [p.name for p in pkg.iterdir() if p.suffix in (".pyx", ".c")] == []
+    if not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    ignored = subprocess.run(
+        ["git", "ls-files", "-ci", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    assert ignored.stdout == ""

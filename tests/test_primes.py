@@ -29,10 +29,19 @@ def _naive_spf(n):
 
 
 def test_spf_matches_trial_division():
-    tbl = build_table(3000)
-    for n in range(2, 3001):
-        assert tbl.spf[n] == _naive_spf(n), n
-    assert tbl.spf[0] == 0 and tbl.spf[1] == 0
+    assert edgebounds.kernel_backend() == "python"
+    for limit in (3000, 200_000):
+        spf = build_table(limit).spf
+        assert spf.dtype == np.int32 and spf[0] == 0 and spf[1] == 0
+        n = np.arange(2, limit + 1)
+        p = spf[2:].astype(np.int64)
+        assert np.all(n % p == 0)
+        assert np.all(spf[p] == p)
+        assert np.all((p * p <= n) | (p == n))
+        # no smaller prime divides n: trial division by each prime <= sqrt(limit)
+        for q in range(2, math.isqrt(limit) + 1):
+            if _naive_spf(q) == q:
+                assert not np.any((n % q == 0) & (p > q)), (limit, q)
 
 
 def test_prime_list_matches_naive():
@@ -54,6 +63,7 @@ def test_mangoldt_spot_values(table4):
     assert mangoldt(table4, 97) == pytest.approx(math.log(97.0), rel=1e-15)
     assert mangoldt(table4, 12) == 0.0
     assert mangoldt(table4, 1) == 0.0
+    assert mangoldt(table4, 10007) == 0.0  # a prime beyond the table
 
 
 def test_is_prime_power_flags(table4):
