@@ -30,6 +30,7 @@ from .primes import (
     prime_power_grid,
     smoothed_sum_linear,
     smoothed_sum_log,
+    table_limit,
 )
 from .special import (
     chandee_margin,
@@ -792,7 +793,7 @@ _AUDITS: Dict[str, Callable[[Optional[PrimeTable], int, int, float], List[AuditR
 _DEFAULT_TABLE_LIMIT: Dict[str, Callable[[float], int]] = {
     "lemma24": lambda x: 10 ** 6,
     "lemma26": lambda x: 10 ** 6,
-    "window": math.ceil,
+    "window": table_limit,
 }
 
 AUDIT_IDS = tuple(_AUDITS)

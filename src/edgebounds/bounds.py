@@ -100,12 +100,17 @@ def _ipow(y: float, n: int) -> float:
         ) from None
 
 
-def _full_report(d: int, logC: float) -> BoundReport:
+def upper_bound(d: int, logC: float) -> BoundReport:
+    """Full report at (d, logC): both envelopes, their terms and the Littlewood pair.
+
+    upper = (2 e^gamma)^d [Y^d + (d/2) Y^(d-1) + (d K / 4) Y^(d-2)], Y = loglogC - log 2d;
+    lower_reciprocal takes J1 for K, (12 e^gamma/pi^2)^d as scale, plus d^2 J2 Y^d / logC.
+    """
     if d < 1:
         raise DomainError("degree must be >= 1")
     logC = float(logC)
-    if logC <= 1.0:
-        raise DomainError("need logC > 1 for log log C")
+    if not 1.0 < logC < math.inf:
+        raise DomainError("need finite logC > 1 for log log C, got %r" % (logC,))
     c = constants(d)
     L = math.log(logC)
     Y = L - math.log(2 * d)
@@ -155,25 +160,18 @@ def _full_report(d: int, logC: float) -> BoundReport:
     )
 
 
-def upper_bound(d: int, logC: float) -> BoundReport:
-    """(2 e^gamma)^d [Y^d + (d/2) Y^(d-1) + (d K / 4) Y^(d-2)], Y = loglogC - log 2d."""
-    return _full_report(d, logC)
-
-
-def lower_bound_reciprocal(d: int, logC: float) -> BoundReport:
-    """Four-term reciprocal envelope; extra term d^2 J2 Y^d / logC."""
-    return _full_report(d, logC)
+lower_bound_reciprocal = upper_bound  # one evaluation yields both envelopes
 
 
 def t_aspect_bounds(inst: LFunctionInstance, t: float) -> BoundReport:
     """Both envelopes evaluated at the conductor on the vertical line."""
     ct = t_aspect_conductor(inst, t)
-    return _full_report(inst.d, math.log(ct))
+    return upper_bound(inst.d, math.log(ct))
 
 
 def littlewood_reference(d: int, logC: float) -> Tuple[float, float]:
     """Classical one-term reference pair ((2 e^g L)^d, (12 e^g L / pi^2)^d)."""
-    if logC <= 1.0:
-        raise DomainError("need logC > 1 for log log C")
+    if not 1.0 < logC < math.inf:
+        raise DomainError("need finite logC > 1 for log log C, got %r" % (logC,))
     L = math.log(logC)
     return (_ipow(TWO_E_GAMMA * L, d), _ipow(TWELVE_E_GAMMA_OVER_PI2 * L, d))

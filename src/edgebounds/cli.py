@@ -34,8 +34,7 @@ class RunConfig:
     index: Optional[int] = None
     qmax: Optional[int] = None
     grid_steps: int = 512
-    tol: float = 1e-12
-    sieve_limit: int = 10 ** 7
+    sieve_limit: Optional[int] = None
     format: str = "json"
     out: Optional[str] = None
 
@@ -44,9 +43,9 @@ class RunConfig:
             raise DomainError("format must be json, csv, or text")
         if self.grid_steps < 8:
             raise DomainError("grid-steps must be >= 8")
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
-        if self.sieve_limit < 2:
+        if self.t is not None and not math.isfinite(self.t):
+            raise DomainError("t must be finite")
+        if self.sieve_limit is not None and self.sieve_limit < 2:
             raise DomainError("sieve-limit must be >= 2")
 
 
@@ -66,7 +65,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         "index",
         "qmax",
         "grid_steps",
-        "tol",
         "sieve_limit",
         "format",
         "out",
@@ -74,10 +72,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         if hasattr(ns, name):
             kw[name] = getattr(ns, name)
     return RunConfig(subcommand=sub, **kw)
-
-
-def report_schema_version() -> str:
-    return SCHEMA
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -109,23 +103,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primesums", help="weighted prime sums at x")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--sieve-limit", type=int, default=10 ** 7)
+    p.add_argument("--sieve-limit", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("audit", help="run one audit id")
     p.add_argument("--id", required=True, choices=audits.AUDIT_IDS)
     p.add_argument("--grid-steps", type=int, default=512)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--qmax", type=int, default=50)
     p.add_argument("--x", type=float, default=1e5)
-    p.add_argument("--sieve-limit", type=int, default=10 ** 7)
+    p.add_argument("--sieve-limit", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("window", help="two-sided window for log|L(1,chi)|")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--x", type=float, default=1e5)
-    p.add_argument("--sieve-limit", type=int, default=10 ** 7)
+    p.add_argument("--sieve-limit", type=int, default=None)
     _add_common(p)
 
     pd = sub.add_parser("dirichlet", help="degree-1 laboratory")
@@ -198,7 +191,7 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
         return _doc("bound", params, {"report": rep.to_json_dict()}), []
 
     if cmd == "primesums":
-        tbl = primes.build_table(cfg.sieve_limit)
+        tbl = primes.build_table(cfg.sieve_limit or primes.table_limit(cfg.x))
         lin = primes.smoothed_sum_linear(tbl, cfg.x)
         payload = {
             "psi_total": primes.psi_total(tbl, cfg.x),
@@ -213,12 +206,12 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
             payload["alternating"] = primes.alternating_prime_power_sum(tbl, cfg.x)
         except EdgeboundsError:
             payload["alternating"] = None
-        params = {"x": cfg.x, "sieve_limit": cfg.sieve_limit}
+        params = {"x": cfg.x, "sieve_limit": tbl.limit}
         return _doc("primesums", params, payload), []
 
     if cmd == "audit":
         tbl = None
-        if cfg.audit_id in audits.TABLE_AUDIT_IDS:
+        if cfg.sieve_limit is not None and cfg.audit_id in audits.TABLE_AUDIT_IDS:
             tbl = primes.build_table(cfg.sieve_limit)
         recs = audits.run_audit(
             cfg.audit_id, tbl=tbl, grid_steps=cfg.grid_steps, q_max=cfg.qmax, x=cfg.x
@@ -226,7 +219,6 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
         params = {
             "id": cfg.audit_id,
             "grid_steps": cfg.grid_steps,
-            "tol": cfg.tol,
             "qmax": cfg.qmax,
             "x": cfg.x,
         }
@@ -235,10 +227,10 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
         return _doc("audit", params, payload), recs
 
     if cmd == "window":
-        tbl = primes.build_table(cfg.sieve_limit)
+        tbl = primes.build_table(cfg.sieve_limit or primes.table_limit(cfg.x))
         recs = audits.window_records(tbl, _selected_chars(cfg.q, cfg.index), cfg.x)
         rows = [r.to_json_dict() for r in recs]
-        params = {"q": cfg.q, "index": cfg.index, "x": cfg.x, "sieve_limit": cfg.sieve_limit}
+        params = {"q": cfg.q, "index": cfg.index, "x": cfg.x, "sieve_limit": tbl.limit}
         return _doc("window", params, {"records": rows}), recs
 
     if cmd == "dirichlet.l1":

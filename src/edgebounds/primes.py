@@ -47,6 +47,13 @@ class WeightedSumResult:
         return abs(self.residual) <= self.window
 
 
+def table_limit(x: float) -> int:
+    """Sieve limit of the smallest table holding every prime power p^k <= x."""
+    if not math.isfinite(x):
+        raise DomainError("need a finite x, got %r" % (x,))
+    return max(2, math.ceil(x))
+
+
 def build_table(limit: int) -> PrimeTable:
     """Sieve smallest prime factors up to limit (deterministic output)."""
     limit = int(limit)

@@ -7,6 +7,7 @@ absolute-error estimate that downstream consumers propagate.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -153,7 +154,17 @@ def trivial_zero_tail(x: float) -> SeriesValue:
     return SeriesValue(value, tail_bound + 1e-16 * value)
 
 
-_CHUNK = 1 << 22
+_CHUNK = 1 << 22  # terms per rounded partial sum
+_BLOCK = 1 << 16  # terms evaluated at once; bounds the working memory
+
+
+def _paired_terms(a: complex, start: int, stop: int):
+    """Lists of Re a/((a+2n)(a+n)) for n = start..stop, _BLOCK terms each."""
+    if a.imag == 0.0:
+        a = a.real  # real input: float64 arithmetic throughout
+    for lo in range(start, stop + 1, _BLOCK):
+        n = np.arange(lo, min(stop, lo + _BLOCK - 1) + 1, dtype=np.float64)
+        yield np.real(a / ((a + 2.0 * n) * (a + n))).tolist()
 
 
 def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
@@ -173,18 +184,9 @@ def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
     n_terms = max(10 ** 5, math.ceil((abs(k) + 2.0) / math.sqrt(tail_tol)))
 
     parts = []
-    start = 1
-    real_input = k.imag == 0.0
-    while start <= n_terms:
+    for start in range(1, n_terms + 1, _CHUNK):
         stop = min(n_terms, start + _CHUNK - 1)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        if real_input:
-            ar = a.real
-            chunk = ar / ((ar + 2.0 * n) * (ar + n))
-        else:
-            chunk = (a / ((a + 2.0 * n) * (a + n))).real
-        parts.append(math.fsum(chunk))
-        start = stop + 1
+        parts.append(math.fsum(itertools.chain.from_iterable(_paired_terms(a, start, stop))))
 
     # Midpoint rule: sum_{n>N} a/((a+2n)(a+n)) ~ integral from N+1/2.
     tail = cmath.log((2.0 * a + 2.0 * n_terms + 1.0) / (a + 2.0 * n_terms + 1.0)).real

@@ -91,6 +91,11 @@ def test_validity_flag_and_domain():
         upper_bound(1, 1.0)
     with pytest.raises(DomainError):
         upper_bound(1, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            upper_bound(1, bad)
+        with pytest.raises(DomainError):
+            littlewood_reference(1, bad)
 
 
 def test_valid_reports_expose_x_at_least_132():

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from edgebounds import survey
+from edgebounds import _kernel, primes, run_audit, survey
 from edgebounds.cli import run
+from edgebounds.errors import ResourceBudgetError
 
 
 def cap(argv):
@@ -60,15 +61,23 @@ def test_bound_t_shift_matches_library():
 
 
 def test_bound_domain_error_exit_two():
-    code, _, err = cap(["bound", "--d", "1", "--log-conductor", "0.5"])
-    assert code == 2
-    assert "error:" in err
+    for argv in (
+        ["bound", "--d", "1", "--log-conductor", "0.5"],
+        ["bound", "--d", "1", "--log-conductor", "nan"],
+        ["bound", "--d", "1", "--log-conductor", "inf"],
+        ["bound", "--d", "1", "--log-conductor", "23", "--t", "nan"],
+        ["bound", "--d", "1", "--log-conductor", "23", "--t", "inf"],
+    ):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_audit_pass_exit_zero():
     code, text, _ = cap(["audit", "--id", "bconst"])
     assert code == 0
     doc = json.loads(text)
+    assert list(doc["params"]) == ["id", "grid_steps", "qmax", "x"]
     assert doc["n_fail"] == 0
     assert doc["records"][0]["verdict"] == "PASS"
 
@@ -80,6 +89,8 @@ def test_audit_designed_failures_exit_one():
     assert doc["n_fail"] == 2
     verdicts = [r["verdict"] for r in doc["records"]]
     assert verdicts == ["FAIL", "PASS", "FAIL", "PASS"]
+    # without the flag the audit sizes its own 10^6 table: same document
+    assert cap(["audit", "--id", "lemma26"]) == (code, text, "")
 
 
 def test_audit_unknown_id_exit_two():
@@ -90,6 +101,44 @@ def test_audit_unknown_id_exit_two():
 def test_usage_error_exit_two():
     code, _, _ = cap(["frobnicate"])
     assert code == 2
+    code, text, err = cap(["audit", "--id", "trig", "--tol", "0.5"])  # no such option
+    assert code == 2 and text == "" and "--tol" in err
+
+
+def test_table_from_nonfinite_or_oversized_x_exit_two(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("built a sieve to %d" % (limit,))
+
+    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    big = str(primes.MAX_SIEVE_LIMIT + 1)
+    for argv in (
+        ["window", "--q", "5", "--x", "inf"],
+        ["window", "--q", "5", "--x", "nan"],
+        ["primesums", "--x", "inf"],
+        ["primesums", "--x", "nan"],
+        ["audit", "--id", "window", "--x", "inf"],
+        ["audit", "--id", "window", "--x", "nan"],
+        ["window", "--q", "5", "--x", big],
+        ["primesums", "--x", big],
+        ["audit", "--id", "window", "--x", big],
+    ):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    with pytest.raises(ResourceBudgetError):
+        run_audit("window", x=float(big))
+
+
+def test_sieve_limit_below_x_exit_two():
+    for argv, limit in (
+        (["audit", "--id", "lemma24", "--sieve-limit", "999999"], 999999),
+        (["window", "--q", "5", "--x", "1000", "--sieve-limit", "999"], 999),
+        (["primesums", "--x", "1000", "--sieve-limit", "999"], 999),
+    ):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error: x=") and err.count("\n") == 1, argv
+        assert err.endswith("beyond table limit %d\n" % (limit,)), argv
 
 
 def test_csv_rejected_outside_survey():
@@ -152,6 +201,12 @@ def test_window_subcommand_frozen():
     assert rec["params"]["lo"] == pytest.approx(-0.24159498944669316, rel=1e-12)
     assert rec["params"]["hi"] == pytest.approx(-0.24150200802510394, rel=1e-12)
     assert rec["lhs"] == pytest.approx(-0.2415644752704905, rel=1e-13)
+    # without the flag the table is sized to x, and params say so
+    code, sized, _ = cap(["window", "--q", "4", "--x", "100000"])
+    assert code == 0
+    doc = json.loads(sized)
+    assert doc["records"] == [rec]
+    assert doc["params"]["sieve_limit"] == 100000
 
 
 def test_window_sweep_trace_contract():
@@ -164,15 +219,14 @@ def test_window_sweep_trace_contract():
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        code, _, _ = cap(
-            ["audit", "--id", "window", "--qmax", "7", "--x", "1000", "--sieve-limit", "1000"]
-        )
+        code, _, _ = cap(["audit", "--id", "window", "--qmax", "7", "--x", "1000"])
     finally:
         tracer.restore()
     assert code == 0
     rep = tracer.report()
     assert rep["primes.prime_power_grid.calls"] == 1
     assert rep["lfunc.coefficient.calls"] == 0
+    assert rep["primes.sieve_entries"] == 1001  # one table, sized to x
 
 
 def test_primesums_document():

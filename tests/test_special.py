@@ -1,6 +1,8 @@
 """Special-function layer: digamma variants, truncated series, margin helpers."""
 
+import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ from edgebounds import (
     techlem2_bound_ratio,
     trivial_zero_tail,
 )
+from edgebounds import special
 
 mpmath.mp.dps = 30
 
@@ -68,6 +71,44 @@ def test_kappa_series_direct_tail_control():
         tight = kappa_series_direct(kappa, tail_tol=1e-13)
         assert abs(loose.value - tight.value) <= loose.abs_error + 1e-13
         assert tight.abs_error < loose.abs_error
+
+
+def _kappa_series_one_array(kappa, tail_tol):
+    """The direct series with each _CHUNK of terms evaluated as one array."""
+    a = complex(kappa) + 1.0
+    n_terms = max(10 ** 5, math.ceil((abs(complex(kappa)) + 2.0) / math.sqrt(tail_tol)))
+    parts = []
+    for start in range(1, n_terms + 1, special._CHUNK):
+        n = np.arange(start, min(n_terms, start + special._CHUNK - 1) + 1, dtype=np.float64)
+        if a.imag == 0.0:
+            parts.append(math.fsum(a.real / ((a.real + 2.0 * n) * (a.real + n))))
+        else:
+            parts.append(math.fsum((a / ((a + 2.0 * n) * (a + n))).real))
+    tail = (2.0 * a + 2.0 * n_terms + 1.0) / (a + 2.0 * n_terms + 1.0)
+    return math.fsum(parts) + cmath.log(tail).real
+
+
+def test_kappa_series_direct_blocks_equal_one_array_sum(monkeypatch):
+    # kappa = 1 is the window's odd-character term: 3e6 terms, one chunk
+    assert kappa_series_direct(1.0).value == _kappa_series_one_array(1.0, 1e-12)
+    # several chunks, each of several blocks, the last block partial
+    monkeypatch.setattr(special, "_CHUNK", 1 << 15)
+    monkeypatch.setattr(special, "_BLOCK", 1 << 12)
+    for kappa in (0.3, 2.0 + 1.0j):
+        assert kappa_series_direct(kappa, tail_tol=1e-6).value == _kappa_series_one_array(
+            kappa, 1e-6
+        )
+
+
+def test_kappa_series_direct_working_memory_is_bounded():
+    # one array per 2^22-term chunk used to peak near 70 MB at kappa = 1
+    tracemalloc.start()
+    try:
+        kappa_series_direct(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_kappa_series_closed_frozen_values():
