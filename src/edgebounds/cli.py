@@ -227,10 +227,13 @@ def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
         return _doc("audit", params, payload), recs
 
     if cmd == "window":
-        tbl = primes.build_table(cfg.sieve_limit or primes.table_limit(cfg.x))
-        recs = audits.window_records(tbl, _selected_chars(cfg.q, cfg.index), cfg.x)
+        limit = primes.checked_limit(cfg.sieve_limit or primes.table_limit(cfg.x))
+        chars = _selected_chars(cfg.q, cfg.index)
+        recs = []  # an empty selection prints its document without sieving
+        if chars:
+            recs = audits.window_records(primes.build_table(limit), chars, cfg.x)
         rows = [r.to_json_dict() for r in recs]
-        params = {"q": cfg.q, "index": cfg.index, "x": cfg.x, "sieve_limit": tbl.limit}
+        params = {"q": cfg.q, "index": cfg.index, "x": cfg.x, "sieve_limit": limit}
         return _doc("window", params, {"records": rows}), recs
 
     if cmd == "dirichlet.l1":

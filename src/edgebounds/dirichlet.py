@@ -188,8 +188,24 @@ class DirichletCharacter:
         return all(2 * c % o == 0 for c, o in zip(self.exponents, g.orders))
 
 
-def _character(g: _UnitGroup, exps: Tuple[int, ...]) -> DirichletCharacter:
+def _conductor_parity(g: _UnitGroup, exps: Tuple[int, ...]) -> Tuple[int, int]:
+    cond = 1
+    parity = 0
+    pos = 0
+    for comp in g.components:
+        k = len(comp.orders)
+        ce = exps[pos:pos + k]
+        cond *= _component_conductor(comp, ce)
+        parity ^= _component_parity(comp, ce)
+        pos += k
+    return cond, parity
+
+
+def _character(
+    g: _UnitGroup, exps: Tuple[int, ...], cond_parity: Optional[Tuple[int, int]] = None
+) -> DirichletCharacter:
     q = g.q
+    cond, parity = cond_parity or _conductor_parity(g, exps)
     coeff = np.array(
         [c * w for c, w in zip(exps, g.phase_weights)], dtype=np.int64
     )
@@ -199,16 +215,7 @@ def _character(g: _UnitGroup, exps: Tuple[int, ...]) -> DirichletCharacter:
         phases = np.zeros(len(g.units), dtype=np.int64)
     values = np.zeros(q if q > 1 else 1, dtype=np.complex128)
     values[g.units] = np.exp(2j * np.pi * phases / g.root_order)
-    cond = 1
-    parity = 0
-    pos = 0
     index = 0
-    for comp in g.components:
-        k = len(comp.orders)
-        ce = exps[pos:pos + k]
-        cond *= _component_conductor(comp, ce)
-        parity ^= _component_parity(comp, ce)
-        pos += k
     for c, o in zip(exps, g.orders):
         index = index * o + c
     return DirichletCharacter(
@@ -225,16 +232,21 @@ def _character(g: _UnitGroup, exps: Tuple[int, ...]) -> DirichletCharacter:
 def enumerate_characters(
     q: int, primitive_only: bool = False
 ) -> List[DirichletCharacter]:
-    """All phi(q) characters mod q in exponent-lexicographic order."""
+    """All phi(q) characters mod q in exponent-lexicographic order.
+
+    With primitive_only, the conductor is read off the exponent vector and
+    only the kept characters get a value table.
+    """
     if q < 1:
         raise DomainError("modulus must be >= 1")
     g = _group(q)
     out: List[DirichletCharacter] = []
     exps = [0] * len(g.orders)
     while True:
-        chi = _character(g, tuple(exps))
-        if not primitive_only or chi.primitive:
-            out.append(chi)
+        key = tuple(exps)
+        cond_parity = _conductor_parity(g, key)
+        if not primitive_only or cond_parity[0] == q:
+            out.append(_character(g, key, cond_parity))
         # odometer increment, last position fastest
         i = len(exps) - 1
         while i >= 0:
@@ -248,9 +260,15 @@ def enumerate_characters(
     return out
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=None)
-def _psi_row(q: int) -> Tuple[float, ...]:
-    return tuple(digamma_rational(a, q).value for a in range(1, q))
+def _psi_row(q: int) -> np.ndarray:
+    """psi(a/q) for a = 1..q-1."""
+    return _frozen(np.array([digamma_rational(a, q).value for a in range(1, q)]))
 
 
 def l1_value(chi: DirichletCharacter) -> complex:
@@ -259,9 +277,9 @@ def l1_value(chi: DirichletCharacter) -> complex:
         raise DomainError("principal character excluded (pole)")
     q = chi.modulus
     psi = _psi_row(q)
-    vt = chi._values
-    re = math.fsum(vt[a].real * psi[a - 1] for a in range(1, q))
-    im = math.fsum(vt[a].imag * psi[a - 1] for a in range(1, q))
+    vt = chi._values[1:q]
+    re = math.fsum((vt.real * psi).tolist())
+    im = math.fsum((vt.imag * psi).tolist())
     return complex(-re / q, -im / q)
 
 
@@ -276,11 +294,35 @@ def _psi_asymptotic(w: float) -> float:
     )
 
 
+_HARMONIC_BLOCK = 1 << 16  # terms 1/n held at once by _harmonic_rows
+
+
 @lru_cache(maxsize=8)
 def _harmonic_rows(q: int, blocks: int) -> np.ndarray:
-    n = np.arange(1, blocks * q + 1, dtype=np.float64)
-    res = np.arange(1, blocks * q + 1, dtype=np.int64) % q
-    return np.bincount(res, weights=1.0 / n, minlength=q)
+    """Sums of 1/n over n <= blocks*q in each residue class mod q.
+
+    Entry r sums n = r mod q in increasing n, as np.bincount would over
+    the whole range; the terms are made a block of rows at a time and
+    each block is folded onto the running row by a sequential accumulate.
+    """
+    rows = max(1, _HARMONIC_BLOCK // q)
+    acc = np.zeros(q, dtype=np.float64)
+    for lo in range(0, blocks, rows):
+        hi = min(blocks, lo + rows)
+        block = np.arange(lo * q + 1, hi * q + 1, dtype=np.float64)
+        np.divide(1.0, block, out=block)
+        block = block.reshape(hi - lo, q)
+        block[0] += acc
+        np.add.accumulate(block, axis=0, out=block)
+        acc = block[-1].copy()
+    # column j holds n = j + 1 mod q
+    return _frozen(np.roll(acc, 1))
+
+
+@lru_cache(maxsize=8)
+def _tail_row(q: int, blocks: int) -> np.ndarray:
+    """psi(blocks + a/q) for a = 1..q-1, by the Stirling tail."""
+    return _frozen(np.array([_psi_asymptotic(blocks + a / q) for a in range(1, q)]))
 
 
 def l1_value_series(chi: DirichletCharacter) -> complex:
@@ -296,12 +338,9 @@ def l1_value_series(chi: DirichletCharacter) -> complex:
     rows = _harmonic_rows(q, blocks)
     vt = chi._values
     partial = complex(np.dot(vt, rows))
-    tail_re = math.fsum(
-        vt[a].real * _psi_asymptotic(blocks + a / q) for a in range(1, q)
-    )
-    tail_im = math.fsum(
-        vt[a].imag * _psi_asymptotic(blocks + a / q) for a in range(1, q)
-    )
+    tail = _tail_row(q, blocks)
+    tail_re = math.fsum((vt[1:q].real * tail).tolist())
+    tail_im = math.fsum((vt[1:q].imag * tail).tolist())
     return partial - complex(tail_re / q, tail_im / q)
 
 

@@ -54,8 +54,8 @@ def table_limit(x: float) -> int:
     return max(2, math.ceil(x))
 
 
-def build_table(limit: int) -> PrimeTable:
-    """Sieve smallest prime factors up to limit (deterministic output)."""
+def checked_limit(limit: int) -> int:
+    """limit as an int, once it is known to fit the sieve budget."""
     limit = int(limit)
     if limit < 2:
         raise DomainError("need limit >= 2, got %r" % (limit,))
@@ -63,10 +63,23 @@ def build_table(limit: int) -> PrimeTable:
         raise ResourceBudgetError(
             "sieve limit %d exceeds the %d budget" % (limit, MAX_SIEVE_LIMIT)
         )
+    return limit
+
+
+_PRIME_SCAN = 1 << 20  # sieve entries compared at once when listing primes
+
+
+def build_table(limit: int) -> PrimeTable:
+    """Sieve smallest prime factors up to limit (deterministic output)."""
+    limit = checked_limit(limit)
     spf = _kernel.spf_array(limit)
-    primes = (np.nonzero(spf[2:] == np.arange(2, limit + 1, dtype=np.int32))[0] + 2).astype(
-        np.int64
-    )
+    # n is prime iff spf[n] == n; compared a slice at a time so that no
+    # temporary the size of the sieve is made
+    found = []
+    for lo in range(2, limit + 1, _PRIME_SCAN):
+        hi = min(limit + 1, lo + _PRIME_SCAN)
+        found.append(np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=np.int32)) + lo)
+    primes = np.concatenate(found).astype(np.int64, copy=False)
     return PrimeTable(limit=limit, spf=spf, _primes=primes)
 
 

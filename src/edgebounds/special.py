@@ -10,7 +10,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -92,12 +93,25 @@ def digamma(z: Number) -> SeriesValue:
     return SeriesValue(val, abs_error)
 
 
+@lru_cache(maxsize=16)
+def _cos_log_sin(q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n = 1..(q-1)//2, cos(2 pi m/q) for m < q and log sin(pi n/q), scalar-built."""
+    n = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
+    cos_tab = np.array([math.cos(TWO_PI * m / q) for m in range(q)], dtype=np.float64)
+    log_sin = np.array([math.log(math.sin(PI * k / q)) for k in n.tolist()], dtype=np.float64)
+    for arr in (n, cos_tab, log_sin):
+        arr.flags.writeable = False
+    return n, cos_tab, log_sin
+
+
 def digamma_rational(a: int, q: int) -> SeriesValue:
     """Digamma at the rational point a/q via the finite cosine-log formula.
 
     Exact closed form for 1 <= a <= q; all terms are accumulated with
     compensated summation, keeping the absolute error at the 1e-15 scale
-    for the modulus sizes used in this package.
+    for the modulus sizes used in this package. The cosines and log-sines
+    come from one table per q, each entry built by the scalar math
+    functions, so every term is the same float as when computed alone.
     """
     if not (isinstance(a, (int, np.integer)) and isinstance(q, (int, np.integer))):
         raise DomainError("arguments must be integers")
@@ -109,9 +123,8 @@ def digamma_rational(a: int, q: int) -> SeriesValue:
     terms = [-EULER_GAMMA, -math.log(2.0 * q)]
     if 2 * a != q:
         terms.append(-(PI / 2.0) / math.tan(PI * a / q))
-    for n in range(1, (q - 1) // 2 + 1):
-        c = math.cos(TWO_PI * ((n * a) % q) / q)
-        terms.append(2.0 * c * math.log(math.sin(PI * n / q)))
+    n, cos_tab, log_sin = _cos_log_sin(int(q))
+    terms += (2.0 * cos_tab[n * int(a) % q] * log_sin).tolist()
     value = math.fsum(terms)
     # Rounding grows with the number of cosine-log terms and, near the
     # pole at 0, with the magnitude of the value itself.

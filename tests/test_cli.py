@@ -141,6 +141,30 @@ def test_sieve_limit_below_x_exit_two():
         assert err.endswith("beyond table limit %d\n" % (limit,)), argv
 
 
+def test_window_empty_selection_builds_no_table(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("built a sieve to %d" % (limit,))
+
+    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    # no primitive character mod 6: the document once sieved to 2e7 first
+    code, text, err = cap(["window", "--q", "6", "--x", "2e7"])
+    assert (code, err) == (0, "")
+    assert text == (
+        '{\n  "schema": "edgebounds-report/1",\n  "command": "window",\n'
+        '  "params": {\n    "q": 6,\n    "index": null,\n    "x": 20000000.0,\n'
+        '    "sieve_limit": 20000000\n  },\n  "records": []\n}\n'
+    )
+    # an explicit limit below x is not checked against an empty selection
+    code, text, err = cap(["window", "--q", "6", "--x", "1000", "--sieve-limit", "999"])
+    assert (code, err) == (0, "") and json.loads(text)["params"]["sieve_limit"] == 999
+    # the budget is checked before the selection, the selection before the sieve
+    big = str(primes.MAX_SIEVE_LIMIT + 1)
+    code, text, err = cap(["window", "--q", "6", "--x", big])
+    assert code == 2 and text == "" and "budget" in err
+    code, text, err = cap(["window", "--q", "5", "--index", "99", "--x", "2e7"])
+    assert code == 2 and text == "" and "with index 99" in err
+
+
 def test_csv_rejected_outside_survey():
     code, _, err = cap(["constants", "--d", "1", "--format", "csv"])
     assert code == 2

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from edgebounds import (
     l1_value_series,
     survey,
 )
+from edgebounds import dirichlet
+from edgebounds.special import digamma_rational
 
 
 def _structure(q):
@@ -101,6 +104,90 @@ def test_l1_series_agrees_with_digamma_method():
             diff = abs(l1_value(chi) - l1_value_series(chi))
             worst = max(worst, diff)
     assert worst <= 1e-10
+
+
+def test_primitive_enumeration_builds_only_kept_tables(monkeypatch):
+    built = []
+    make = dirichlet._character
+
+    def counting(g, exps, cond_parity=None):
+        built.append(exps)
+        return make(g, exps, cond_parity)
+
+    monkeypatch.setattr(dirichlet, "_character", counting)
+    for q in (8, 12, 45, 60, 97):
+        every = [c for c in enumerate_characters(q) if c.primitive]
+        del built[:]
+        kept = enumerate_characters(q, primitive_only=True)
+        assert len(built) == len(kept)
+        for a, b in zip(kept, every):
+            assert (a.exponents, a.conductor, a.parity, a.index) == (
+                b.exponents, b.conductor, b.parity, b.index
+            )
+            assert a.value_table().tobytes() == b.value_table().tobytes()
+
+
+def _harmonic_rows_bincount(q, blocks):
+    n = np.arange(1, blocks * q + 1, dtype=np.float64)
+    res = np.arange(1, blocks * q + 1, dtype=np.int64) % q
+    return np.bincount(res, weights=1.0 / n, minlength=q)
+
+
+def _series_blocks(q):
+    return -(-max(10 ** 6, q * q) // q)
+
+
+def test_harmonic_rows_equal_bincount():
+    # q = 1013 has q^2 > 1e6, so N = q^2
+    for q in (3, 7, 200, 1013):
+        blocks = _series_blocks(q)
+        got = dirichlet._harmonic_rows.__wrapped__(q, blocks)
+        assert got.tobytes() == _harmonic_rows_bincount(q, blocks).tobytes(), q
+
+
+def test_harmonic_rows_working_memory_is_bounded():
+    # one 1e6-term pass used to peak near 23 MB; one float64 array of all
+    # 1e6 terms alone would take 7.6 MB
+    tracemalloc.start()
+    try:
+        dirichlet._harmonic_rows.__wrapped__(3, 333334)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def _l1_value_per_term(chi):
+    q = chi.modulus
+    psi = [digamma_rational(a, q).value for a in range(1, q)]
+    vt = chi._values
+    re = math.fsum(vt[a].real * psi[a - 1] for a in range(1, q))
+    im = math.fsum(vt[a].imag * psi[a - 1] for a in range(1, q))
+    return complex(-re / q, -im / q)
+
+
+def _l1_value_series_per_term(chi, rows):
+    q = chi.modulus
+    blocks = _series_blocks(q)
+    vt = chi._values
+    partial = complex(np.dot(vt, rows))
+    tail = [dirichlet._psi_asymptotic(blocks + a / q) for a in range(1, q)]
+    tail_re = math.fsum(vt[a].real * tail[a - 1] for a in range(1, q))
+    tail_im = math.fsum(vt[a].imag * tail[a - 1] for a in range(1, q))
+    return partial - complex(tail_re / q, tail_im / q)
+
+
+def test_l1_oracles_equal_per_term_sums():
+    cases = [(q, enumerate_characters(q, primitive_only=True)) for q in range(3, 61)]
+    cases.append((1013, [enumerate_characters(1013)[i] for i in (1, 2, 506, 1011)]))
+    for q, chars in cases:
+        rows = _harmonic_rows_bincount(q, _series_blocks(q))
+        for chi in chars:
+            if chi.is_principal:
+                continue
+            assert l1_value(chi) == _l1_value_per_term(chi), (q, chi.index)
+            got = l1_value_series(chi)
+            assert got == _l1_value_series_per_term(chi, rows), (q, chi.index)
 
 
 def test_survey_frozen_rows():

@@ -44,9 +44,13 @@ def test_spf_matches_trial_division():
                 assert not np.any((n % q == 0) & (p > q)), (limit, q)
 
 
-def test_prime_list_matches_naive():
-    tbl = build_table(3000)
+def test_prime_list_matches_naive(monkeypatch):
     naive = [n for n in range(2, 3001) if _naive_spf(n) == n]
+    assert build_table(3000)._primes.tolist() == naive
+    # several scan slices, the last one partial
+    monkeypatch.setattr(edgebounds.primes, "_PRIME_SCAN", 256)
+    tbl = build_table(3000)
+    assert tbl._primes.dtype == np.int64
     assert tbl._primes.tolist() == naive
 
 

@@ -19,6 +19,7 @@ from edgebounds import (
     trivial_zero_tail,
 )
 from edgebounds import special
+from edgebounds.constants import EULER_GAMMA, PI, TWO_PI
 
 mpmath.mp.dps = 30
 
@@ -57,6 +58,27 @@ def test_digamma_rational_closed_form_matches_mpmath():
             assert abs(got.value - ref) <= 1e-12 * max(1.0, abs(ref))
             # reported error bars stay honest
             assert abs(got.value - ref) <= got.abs_error + 1e-13 * max(1.0, abs(ref))
+
+
+def _digamma_rational_terms(a, q, log_sin):
+    """The closed form's terms one at a time, as scalar expressions."""
+    terms = [-EULER_GAMMA, -math.log(2.0 * q)]
+    if 2 * a != q:
+        terms.append(-(PI / 2.0) / math.tan(PI * a / q))
+    for n in range(1, (q - 1) // 2 + 1):
+        c = math.cos(TWO_PI * ((n * a) % q) / q)
+        terms.append(2.0 * c * log_sin[n])
+    return terms
+
+
+def test_digamma_rational_equals_scalar_terms():
+    for q in list(range(2, 301)) + [997, 1024]:
+        log_sin = [None] + [math.log(math.sin(PI * n / q)) for n in range(1, (q - 1) // 2 + 1)]
+        for a in range(1, q):
+            got = digamma_rational(a, q)
+            want = math.fsum(_digamma_rational_terms(a, q, log_sin))
+            assert got.value == want, (a, q)
+            assert got.abs_error == min(1e-14, 4e-15 + 1.5e-17 * q) + 4e-16 * abs(want)
 
 
 def test_kappa_series_direct_frozen_values():
