@@ -154,19 +154,18 @@ def _weighted(r: primes.WeightedSumResult) -> dict:
 
 
 def _selected_chars(q: int, index: Optional[int]):
-    chars = [
-        c
-        for c in dirichlet.enumerate_characters(q, primitive_only=True)
-        if not c.is_principal
-    ]
-    if index is not None:
-        chars = [c for c in chars if c.index == index]
-        if not chars:
-            raise EdgeboundsError(
-                "no primitive non-principal character mod %d with index %r"
-                % (q, index)
-            )
-    return chars
+    if index is None:
+        return [
+            c
+            for c in dirichlet.enumerate_characters(q, primitive_only=True)
+            if not c.is_principal
+        ]
+    chi = dirichlet.primitive_character(q, index)
+    if chi is None or chi.is_principal:
+        raise EdgeboundsError(
+            "no primitive non-principal character mod %d with index %r" % (q, index)
+        )
+    return [chi]
 
 
 def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:

@@ -260,6 +260,22 @@ def enumerate_characters(
     return out
 
 
+def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
+    """Character number index of enumerate_characters; None if imprimitive or out of range.
+
+    Only that one value table is built.
+    """
+    if q < 1:
+        raise DomainError("modulus must be >= 1")
+    g = _group(q)
+    if not 0 <= index < g.order_product:
+        return None
+    # C order: the last exponent runs fastest, as enumerate_characters counts
+    key = tuple(int(c) for c in np.unravel_index(index, g.orders))
+    cond_parity = _conductor_parity(g, key)
+    return _character(g, key, cond_parity) if cond_parity[0] == q else None
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

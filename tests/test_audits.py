@@ -27,7 +27,9 @@ from edgebounds.audits import (
     TABLE_AUDIT_IDS,
     AuditRecord,
     Interval,
+    _DEFAULT_KAPPA_GRID,
     _instance_prime_sums,
+    _kappa_term,
     _window_weights,
 )
 from edgebounds.primes import prime_power_grid
@@ -118,6 +120,20 @@ def test_identity_residual_frozen_points():
     assert pts[0j]["residual"] == pytest.approx(0.06805437799855707, rel=1e-10)
     assert pts[1 + 0j]["residual"] == pytest.approx(0.07213177477483113, rel=1e-10)
     assert pts[50j]["residual"] == pytest.approx(0.0008950819224291529, rel=1e-9)
+    # the direct series agrees with its digamma form; the closed form is off
+    for p in rec.params["points"]:
+        assert abs(p["direct_minus_digamma"]) <= 2e-15
+        assert p["direct_minus_digamma"] == p["direct"] - p["digamma"]
+
+
+def test_kappa_term_via_digamma_matches_mpmath():
+    for kappa in _DEFAULT_KAPPA_GRID:
+        k = mpmath.mpc(kappa.real, kappa.imag)
+        ref = float(mpmath.re(mpmath.digamma(k + 2) - mpmath.digamma((k + 3) / 2)))
+        assert abs(_kappa_term(kappa) - ref) <= 1e-15, kappa
+    # the only nonzero parameter a Dirichlet window meets: the bits the
+    # direct series gave there, so every window document is unchanged
+    assert _kappa_term(1 + 0j) == 0.49999999999999994
 
 
 def test_techlem2_grid_frozen():

@@ -1,6 +1,7 @@
 """The one sieve backend: its name, and bitwise parity with the NumPy fallback it replaced."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 
@@ -27,3 +28,16 @@ def test_fallback_matches_dispatch():
     assert a.dtype == b.dtype == np.int32
     assert np.array_equal(a, b)
     assert _digest(a) == _FALLBACK_SPF_200000_SHA256
+
+
+def test_sieve_temporaries_are_bounded():
+    # the half-sieve mask for p = 2 and one sieve-sized mask plus index
+    # arrays for the final scan once came to about 3 MB here
+    limit = 2 * 10 ** 6
+    tracemalloc.start()
+    try:
+        _kernel.spf_array(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 4 * (limit + 1) < 2 ** 20

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebounds import _kernel, primes, run_audit, survey
+from edgebounds import _kernel, dirichlet, primes, run_audit, survey
 from edgebounds.cli import run
 from edgebounds.errors import ResourceBudgetError
 
@@ -193,6 +193,25 @@ def test_dirichlet_l1_bad_index_exit_two():
     assert "error:" in err
 
 
+def test_index_builds_one_character(monkeypatch):
+    built = []
+    character = dirichlet._character
+
+    def counting(g, exps, *rest):
+        built.append(exps)
+        return character(g, exps, *rest)
+
+    monkeypatch.setattr(dirichlet, "_character", counting)
+    code, text, _ = cap(["window", "--q", "397", "--index", "5", "--x", "1000"])
+    assert code == 0 and len(json.loads(text)["records"]) == 1
+    assert built == [(5,)]
+    # negative, past phi(q), principal (q = 1) and imprimitive (conductor 3 mod 9)
+    for q, index in ((397, -1), (397, 396), (1, 0), (9, 3)):
+        code, text, err = cap(["dirichlet", "l1", "--q", str(q), "--index", str(index)])
+        want = "error: no primitive non-principal character mod %d with index %d\n" % (q, index)
+        assert (code, text, err) == (2, "", want)
+
+
 def test_survey_csv_shape(tmp_path):
     code, text, _ = cap(["dirichlet", "survey", "--qmax", "8", "--format", "csv"])
     assert code == 0
@@ -251,6 +270,7 @@ def test_window_sweep_trace_contract():
     assert rep["primes.prime_power_grid.calls"] == 1
     assert rep["lfunc.coefficient.calls"] == 0
     assert rep["primes.sieve_entries"] == 1001  # one table, sized to x
+    assert rep["special.kappa_series_direct.calls"] == 0  # odd characters go through digamma
 
 
 def test_primesums_document():

@@ -19,6 +19,7 @@ from edgebounds import (
     trivial_zero_tail,
 )
 from edgebounds import special
+from edgebounds.audits import _DEFAULT_KAPPA_GRID
 from edgebounds.constants import EULER_GAMMA, PI, TWO_PI
 
 mpmath.mp.dps = 30
@@ -95,31 +96,45 @@ def test_kappa_series_direct_tail_control():
         assert tight.abs_error < loose.abs_error
 
 
-def _kappa_series_one_array(kappa, tail_tol):
-    """The direct series with each _CHUNK of terms evaluated as one array."""
+def _kappa_series_term_by_term(kappa, tail_tol):
+    """The direct series as its terms: the head n < N as one array, then the
+    Euler-Maclaurin tail integral, f(N)/2 and the B_2 correction."""
     a = complex(kappa) + 1.0
-    n_terms = max(10 ** 5, math.ceil((abs(complex(kappa)) + 2.0) / math.sqrt(tail_tol)))
-    parts = []
-    for start in range(1, n_terms + 1, special._CHUNK):
-        n = np.arange(start, min(n_terms, start + special._CHUNK - 1) + 1, dtype=np.float64)
-        if a.imag == 0.0:
-            parts.append(math.fsum(a.real / ((a.real + 2.0 * n) * (a.real + n))))
-        else:
-            parts.append(math.fsum((a / ((a + 2.0 * n) * (a + n))).real))
-    tail = (2.0 * a + 2.0 * n_terms + 1.0) / (a + 2.0 * n_terms + 1.0)
-    return math.fsum(parts) + cmath.log(tail).real
+    big_n = math.ceil(4.0 * (abs(a) + 2.0))
+    while (1.0 / 30.0) / big_n ** 4 > tail_tol:  # |B_4| / N^4 bounds the remainder
+        big_n += 1
+    if a.imag == 0.0:
+        a = a.real
+    n = np.arange(1, big_n, dtype=np.float64)
+    head = np.real(a / ((a + 2.0 * n) * (a + n))).tolist()
+    near, far = big_n + a / 2.0, big_n + a
+    integral = cmath.log(far / near).real
+    half_f = 0.5 * (a / ((a + 2.0 * big_n) * (a + big_n))).real
+    b2_term = (1.0 / 12.0 * (1.0 / (near * near) - 1.0 / (far * far))).real
+    return math.fsum(head + [integral, half_f, b2_term])
 
 
-def test_kappa_series_direct_blocks_equal_one_array_sum(monkeypatch):
-    # kappa = 1 is the window's odd-character term: 3e6 terms, one chunk
-    assert kappa_series_direct(1.0).value == _kappa_series_one_array(1.0, 1e-12)
-    # several chunks, each of several blocks, the last block partial
-    monkeypatch.setattr(special, "_CHUNK", 1 << 15)
-    monkeypatch.setattr(special, "_BLOCK", 1 << 12)
-    for kappa in (0.3, 2.0 + 1.0j):
-        assert kappa_series_direct(kappa, tail_tol=1e-6).value == _kappa_series_one_array(
-            kappa, 1e-6
+def test_kappa_series_direct_blocks_equal_one_array_sum():
+    # kappa = 1 is the window's odd-character term at the default tail_tol
+    assert kappa_series_direct(1.0).value == _kappa_series_term_by_term(1.0, 1e-12)
+    # N from the tail_tol rule (kappa = 1 above, 0 here) and from the
+    # 4(|a|+2) floor (2+1j, 50j)
+    for kappa, tol in ((0.3, 1e-6), (2.0 + 1.0j, 1e-6), (0.0, 1e-15), (50j, 1e-10)):
+        assert kappa_series_direct(kappa, tail_tol=tol).value == _kappa_series_term_by_term(
+            kappa, tol
         )
+
+
+def test_kappa_series_direct_within_abs_error_of_mpmath(monkeypatch):
+    # an independent oracle: it works with digamma and its constants broken
+    monkeypatch.setattr(special, "digamma", None)
+    monkeypatch.setattr(special, "_ASYMP_COEFFS", ())
+    for kappa in _DEFAULT_KAPPA_GRID:
+        k = mpmath.mpc(kappa.real, kappa.imag)
+        ref = float(mpmath.re(mpmath.digamma(k + 2) - mpmath.digamma((k + 3) / 2)))
+        for tol in (1e-6, 1e-10, 1e-13):
+            got = kappa_series_direct(kappa, tail_tol=tol)
+            assert abs(got.value - ref) <= got.abs_error, (kappa, tol)
 
 
 def test_kappa_series_direct_working_memory_is_bounded():
