@@ -20,10 +20,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .constants import B_ZERO_SUM, EULER_GAMMA, LOG_2, LOG_PI, TWO_PI
+from .dirichlet import enumerate_characters, l1_value
 from .errors import DomainError
-from .lfunc import LFunctionInstance
+from .lfunc import LFunctionInstance, dirichlet_instance
 from .primes import (
     PrimeTable,
+    WeightedSumResult,
     build_table,
     factorize,
     prime_power_grid,
@@ -680,44 +682,26 @@ def a_terms_audit(
 # runner
 
 
-def _lemma24_records(tbl: PrimeTable) -> List[AuditRecord]:
-    out = []
-    for x in (100.0, 1000.0, 10000.0, 1000000.0):
-        res = smoothed_sum_linear(tbl, x)
-        for name in ("two_pi", "log_two_pi"):
-            r = res[name]
-            out.append(
-                AuditRecord(
-                    id="lemma24",
-                    params={"x": r.x, "variant": name},
-                    lhs=r.lhs,
-                    rhs=r.main,
-                    window=r.window,
-                    residual=r.residual,
-                    verdict="PASS" if r.within_window() else "FAIL",
-                )
-            )
-    return out
-
-
-def _lemma26_records(tbl: PrimeTable) -> List[AuditRecord]:
-    out = []
-    for x in (10000.0, 1000000.0):
-        res = smoothed_sum_log(tbl, x)
-        for name in ("minus_gamma", "plus_gamma"):
-            r = res[name]
-            out.append(
-                AuditRecord(
-                    id="lemma26",
-                    params={"x": r.x, "variant": name},
-                    lhs=r.lhs,
-                    rhs=r.main,
-                    window=r.window,
-                    residual=r.residual,
-                    verdict="PASS" if r.within_window() else "FAIL",
-                )
-            )
-    return out
+def _prime_sum_records(
+    audit_id: str,
+    sums: Callable[[PrimeTable, float], Dict[str, WeightedSumResult]],
+    xs: Sequence[float],
+    tbl: PrimeTable,
+) -> List[AuditRecord]:
+    """One record per model variant of sums(tbl, x), x by x."""
+    return [
+        AuditRecord(
+            id=audit_id,
+            params={"x": r.x, "variant": name},
+            lhs=r.lhs,
+            rhs=r.main,
+            window=r.window,
+            residual=r.residual,
+            verdict="PASS" if r.within_window() else "FAIL",
+        )
+        for x in xs
+        for name, r in sums(tbl, x).items()
+    ]
 
 
 def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditRecord]:
@@ -726,9 +710,6 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
     Each record holds log|L(1,chi)| (lhs) against the midpoint of its
     explicit-formula window at x; it PASSes when the window contains it.
     """
-    from .dirichlet import l1_value
-    from .lfunc import dirichlet_instance
-
     out = []
     weights = None
     for chi in chars:
@@ -760,8 +741,6 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
 
 
 def _window_audit_records(tbl: PrimeTable, q_max: int, x: float) -> List[AuditRecord]:
-    from .dirichlet import enumerate_characters
-
     chars = (
         chi
         for q in range(3, q_max + 1)
@@ -784,8 +763,12 @@ _AUDITS: Dict[str, Callable[[Optional[PrimeTable], int, int, float], List[AuditR
     "techlem2": lambda tbl, g, q, x: [verify_techlem2_grid()],
     "chandee": lambda tbl, g, q, x: [verify_chandee_grid()],
     "bconst": lambda tbl, g, q, x: [verify_b_constant()],
-    "lemma24": lambda tbl, g, q, x: _lemma24_records(tbl),
-    "lemma26": lambda tbl, g, q, x: _lemma26_records(tbl),
+    "lemma24": lambda tbl, g, q, x: _prime_sum_records(
+        "lemma24", smoothed_sum_linear, (100.0, 1000.0, 10000.0, 1000000.0), tbl
+    ),
+    "lemma26": lambda tbl, g, q, x: _prime_sum_records(
+        "lemma26", smoothed_sum_log, (10000.0, 1000000.0), tbl
+    ),
     "aterms": lambda tbl, g, q, x: [
         a_terms_audit("upper", 1, 1, (), 132.25),
         a_terms_audit("lower", 2, 0, (0.5, 1.5), 1e4),

@@ -10,8 +10,7 @@ form, non-finite values as null. Exit status: 0 when no record FAILs,
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import audits, bounds, dirichlet, primes
 from ._jsonio import dumps_report, json_ready
@@ -19,62 +18,13 @@ from .errors import DomainError, EdgeboundsError
 
 SCHEMA = "edgebounds-report/1"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set for one invocation."""
-
-    subcommand: str
-    audit_id: Optional[str] = None
-    d: Optional[int] = None
-    log_conductor: Optional[float] = None
-    t: Optional[float] = None
-    x: Optional[float] = None
-    q: Optional[int] = None
-    index: Optional[int] = None
-    qmax: Optional[int] = None
-    grid_steps: int = 512
-    sieve_limit: Optional[int] = None
-    format: str = "json"
-    out: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.format not in ("json", "csv", "text"):
-            raise DomainError("format must be json, csv, or text")
-        if self.grid_steps < 8:
-            raise DomainError("grid-steps must be >= 8")
-        if self.t is not None and not math.isfinite(self.t):
-            raise DomainError("t must be finite")
-        if self.sieve_limit is not None and self.sieve_limit < 2:
-            raise DomainError("sieve-limit must be >= 2")
+# What a subcommand's handler returns: its document, and the audit records
+# whose verdicts set the exit status.
+_Result = Tuple[dict, List[audits.AuditRecord]]
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    sub = ns.subcommand
-    if sub == "dirichlet":
-        sub = "dirichlet." + ns.dirichlet_command
-    kw = {}
-    if hasattr(ns, "id"):
-        kw["audit_id"] = ns.id
-    for name in (
-        "d",
-        "log_conductor",
-        "t",
-        "x",
-        "q",
-        "index",
-        "qmax",
-        "grid_steps",
-        "sieve_limit",
-        "format",
-        "out",
-    ):
-        if hasattr(ns, name):
-            kw[name] = getattr(ns, name)
-    return RunConfig(subcommand=sub, **kw)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, handler: Callable[..., _Result]) -> None:
+    p.set_defaults(handler=handler)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the document here instead of stdout")
 
@@ -88,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="degree-dependent envelope constants")
     p.add_argument("--d", type=int, required=True)
-    _add_common(p)
+    _add_common(p, _constants)
 
     p = sub.add_parser("bound", help="both envelope values at (d, logC)")
     p.add_argument("--d", type=int, required=True)
@@ -99,12 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shift to the conductor on the vertical line (all-zero local parameters)",
     )
-    _add_common(p)
+    _add_common(p, _bound)
 
     p = sub.add_parser("primesums", help="weighted prime sums at x")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--sieve-limit", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _primesums)
 
     p = sub.add_parser("audit", help="run one audit id")
     p.add_argument("--id", required=True, choices=audits.AUDIT_IDS)
@@ -112,14 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, default=50)
     p.add_argument("--x", type=float, default=1e5)
     p.add_argument("--sieve-limit", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _audit)
 
     p = sub.add_parser("window", help="two-sided window for log|L(1,chi)|")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--x", type=float, default=1e5)
     p.add_argument("--sieve-limit", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _window)
 
     pd = sub.add_parser("dirichlet", help="degree-1 laboratory")
     dsub = pd.add_subparsers(dest="dirichlet_command", required=True)
@@ -127,11 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("l1", help="L(1, chi) for primitive non-principal chi mod q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--index", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _dirichlet_l1)
 
     p = dsub.add_parser("survey", help="envelope-comparison survey over 3 <= q <= qmax")
     p.add_argument("--qmax", type=int, required=True)
-    _add_common(p)
+    _add_common(p, _dirichlet_survey)
 
     return ap
 
@@ -153,6 +103,11 @@ def _weighted(r: primes.WeightedSumResult) -> dict:
     }
 
 
+def _check_sieve_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 2:
+        raise DomainError("sieve-limit must be >= 2")
+
+
 def _selected_chars(q: int, index: Optional[int]):
     if index is None:
         return [
@@ -168,98 +123,92 @@ def _selected_chars(q: int, index: Optional[int]):
     return [chi]
 
 
-def _dispatch(cfg: RunConfig) -> Tuple[dict, List[audits.AuditRecord]]:
-    cmd = cfg.subcommand
-    if cmd == "constants":
-        c = bounds.constants(cfg.d)
-        return (
-            _doc(
-                "constants",
-                {"d": cfg.d},
-                {"constants": {"d": c.d, "K": c.K, "J1": c.J1, "J2": c.J2}},
-            ),
-            [],
+def _constants(ns: argparse.Namespace) -> _Result:
+    c = bounds.constants(ns.d)
+    payload = {"constants": {"d": c.d, "K": c.K, "J1": c.J1, "J2": c.J2}}
+    return _doc("constants", {"d": ns.d}, payload), []
+
+
+def _bound(ns: argparse.Namespace) -> _Result:
+    log_c = ns.log_conductor
+    if ns.t is not None:
+        if not math.isfinite(ns.t):
+            raise DomainError("t must be finite")
+        log_c = log_c + ns.d * 0.5 * math.log1p(ns.t * ns.t)
+    rep = bounds.upper_bound(ns.d, log_c)
+    params = {"d": ns.d, "log_conductor": ns.log_conductor, "t": ns.t}
+    return _doc("bound", params, {"report": rep.to_json_dict()}), []
+
+
+def _primesums(ns: argparse.Namespace) -> _Result:
+    _check_sieve_limit(ns.sieve_limit)
+    tbl = primes.build_table(ns.sieve_limit or primes.table_limit(ns.x))
+    lin = primes.smoothed_sum_linear(tbl, ns.x)
+    payload = {
+        "psi_total": primes.psi_total(tbl, ns.x),
+        "linear": {k: _weighted(v) for k, v in lin.items()},
+    }
+    try:
+        lg = primes.smoothed_sum_log(tbl, ns.x)
+        payload["log"] = {k: _weighted(v) for k, v in lg.items()}
+    except EdgeboundsError:
+        payload["log"] = None
+    try:
+        payload["alternating"] = primes.alternating_prime_power_sum(tbl, ns.x)
+    except EdgeboundsError:
+        payload["alternating"] = None
+    params = {"x": ns.x, "sieve_limit": tbl.limit}
+    return _doc("primesums", params, payload), []
+
+
+def _audit(ns: argparse.Namespace) -> _Result:
+    if ns.grid_steps < 8:
+        raise DomainError("grid-steps must be >= 8")
+    _check_sieve_limit(ns.sieve_limit)
+    tbl = None
+    if ns.sieve_limit is not None and ns.id in audits.TABLE_AUDIT_IDS:
+        tbl = primes.build_table(ns.sieve_limit)
+    recs = audits.run_audit(ns.id, tbl=tbl, grid_steps=ns.grid_steps, q_max=ns.qmax, x=ns.x)
+    params = {"id": ns.id, "grid_steps": ns.grid_steps, "qmax": ns.qmax, "x": ns.x}
+    n_fail = sum(1 for r in recs if r.verdict == "FAIL")
+    payload = {"records": [r.to_json_dict() for r in recs], "n_fail": n_fail}
+    return _doc("audit", params, payload), recs
+
+
+def _window(ns: argparse.Namespace) -> _Result:
+    _check_sieve_limit(ns.sieve_limit)
+    limit = primes.checked_limit(ns.sieve_limit or primes.table_limit(ns.x))
+    chars = _selected_chars(ns.q, ns.index)
+    recs = []  # an empty selection prints its document without sieving
+    if chars:
+        recs = audits.window_records(primes.build_table(limit), chars, ns.x)
+    rows = [r.to_json_dict() for r in recs]
+    params = {"q": ns.q, "index": ns.index, "x": ns.x, "sieve_limit": limit}
+    return _doc("window", params, {"records": rows}), recs
+
+
+def _dirichlet_l1(ns: argparse.Namespace) -> _Result:
+    rows = []
+    for chi in _selected_chars(ns.q, ns.index):
+        val = dirichlet.l1_value(chi)
+        rows.append(
+            {
+                "q": ns.q,
+                "char_index": chi.index,
+                "conductor": chi.conductor,
+                "parity": chi.parity,
+                "re_L1": val.real,
+                "im_L1": val.imag,
+                "abs_L1": abs(val),
+            }
         )
+    params = {"q": ns.q, "index": ns.index}
+    return _doc("dirichlet.l1", params, {"characters": rows}), []
 
-    if cmd == "bound":
-        log_c = cfg.log_conductor
-        if cfg.t is not None:
-            log_c = log_c + cfg.d * 0.5 * math.log1p(cfg.t * cfg.t)
-        rep = bounds.upper_bound(cfg.d, log_c)
-        params = {"d": cfg.d, "log_conductor": cfg.log_conductor, "t": cfg.t}
-        return _doc("bound", params, {"report": rep.to_json_dict()}), []
 
-    if cmd == "primesums":
-        tbl = primes.build_table(cfg.sieve_limit or primes.table_limit(cfg.x))
-        lin = primes.smoothed_sum_linear(tbl, cfg.x)
-        payload = {
-            "psi_total": primes.psi_total(tbl, cfg.x),
-            "linear": {k: _weighted(v) for k, v in lin.items()},
-        }
-        try:
-            lg = primes.smoothed_sum_log(tbl, cfg.x)
-            payload["log"] = {k: _weighted(v) for k, v in lg.items()}
-        except EdgeboundsError:
-            payload["log"] = None
-        try:
-            payload["alternating"] = primes.alternating_prime_power_sum(tbl, cfg.x)
-        except EdgeboundsError:
-            payload["alternating"] = None
-        params = {"x": cfg.x, "sieve_limit": tbl.limit}
-        return _doc("primesums", params, payload), []
-
-    if cmd == "audit":
-        tbl = None
-        if cfg.sieve_limit is not None and cfg.audit_id in audits.TABLE_AUDIT_IDS:
-            tbl = primes.build_table(cfg.sieve_limit)
-        recs = audits.run_audit(
-            cfg.audit_id, tbl=tbl, grid_steps=cfg.grid_steps, q_max=cfg.qmax, x=cfg.x
-        )
-        params = {
-            "id": cfg.audit_id,
-            "grid_steps": cfg.grid_steps,
-            "qmax": cfg.qmax,
-            "x": cfg.x,
-        }
-        n_fail = sum(1 for r in recs if r.verdict == "FAIL")
-        payload = {"records": [r.to_json_dict() for r in recs], "n_fail": n_fail}
-        return _doc("audit", params, payload), recs
-
-    if cmd == "window":
-        limit = primes.checked_limit(cfg.sieve_limit or primes.table_limit(cfg.x))
-        chars = _selected_chars(cfg.q, cfg.index)
-        recs = []  # an empty selection prints its document without sieving
-        if chars:
-            recs = audits.window_records(primes.build_table(limit), chars, cfg.x)
-        rows = [r.to_json_dict() for r in recs]
-        params = {"q": cfg.q, "index": cfg.index, "x": cfg.x, "sieve_limit": limit}
-        return _doc("window", params, {"records": rows}), recs
-
-    if cmd == "dirichlet.l1":
-        rows = []
-        for chi in _selected_chars(cfg.q, cfg.index):
-            val = dirichlet.l1_value(chi)
-            rows.append(
-                {
-                    "q": cfg.q,
-                    "char_index": chi.index,
-                    "conductor": chi.conductor,
-                    "parity": chi.parity,
-                    "re_L1": val.real,
-                    "im_L1": val.imag,
-                    "abs_L1": abs(val),
-                }
-            )
-        params = {"q": cfg.q, "index": cfg.index}
-        return _doc("dirichlet.l1", params, {"characters": rows}), []
-
-    if cmd == "dirichlet.survey":
-        records = dirichlet.survey(cfg.qmax, out=None)
-        rows = [r.to_json_dict() for r in records]
-        params = {"qmax": cfg.qmax}
-        return _doc("dirichlet.survey", params, {"records": rows}), []
-
-    raise EdgeboundsError("unknown subcommand %r" % (cmd,))
+def _dirichlet_survey(ns: argparse.Namespace) -> _Result:
+    rows = [r.to_json_dict() for r in dirichlet.survey(ns.qmax, out=None)]
+    return _doc("dirichlet.survey", {"qmax": ns.qmax}, {"records": rows}), []
 
 
 def _render_text(obj: object, indent: int = 0) -> List[str]:
@@ -284,18 +233,6 @@ def _render_text(obj: object, indent: int = 0) -> List[str]:
     return lines
 
 
-def _emit(cfg: RunConfig, doc: dict) -> Optional[str]:
-    if cfg.format == "json":
-        return dumps_report(doc)
-    if cfg.format == "text":
-        return "\n".join(_render_text(json_ready(doc))) + "\n"
-    if cfg.format == "csv":
-        if doc.get("command") == "dirichlet.survey":
-            return dirichlet.survey_csv(doc["records"])
-        return None
-    return None
-
-
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -303,22 +240,26 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         code = e.code
         return int(code) if code is not None else 0
-    try:
-        cfg = _config(ns)
-        doc, recs = _dispatch(cfg)
-    except EdgeboundsError as e:
-        print("error: %s" % (e,), file=sys.stderr)
-        return 2
-    text = _emit(cfg, doc)
-    if text is None:
+    if ns.format == "csv" and ns.handler is not _dirichlet_survey:
         print(
             "error: --format csv is only available for 'dirichlet survey'",
             file=sys.stderr,
         )
         return 2
-    if cfg.out is not None:
+    try:
+        doc, recs = ns.handler(ns)
+    except EdgeboundsError as e:
+        print("error: %s" % (e,), file=sys.stderr)
+        return 2
+    if ns.format == "csv":
+        text = dirichlet.survey_csv(doc["records"])
+    elif ns.format == "text":
+        text = "\n".join(_render_text(json_ready(doc))) + "\n"
+    else:
+        text = dumps_report(doc)
+    if ns.out is not None:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
             print("error: %s" % (e,), file=sys.stderr)

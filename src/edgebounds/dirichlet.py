@@ -12,6 +12,7 @@ asymptotic tail. The survey compares |L(1, chi)| against the conditional
 upper envelope and persists CSV/JSON side by side.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -108,7 +109,6 @@ class _UnitGroup:
 
         units = [a for a in range(q) if math.gcd(a, q) == 1] if q > 1 else [0]
         self.units = np.array(units, dtype=np.int64)
-        self.unit_pos = {int(a): i for i, a in enumerate(units)}
         rows = []
         for a in units:
             row: List[int] = []
@@ -241,22 +241,11 @@ def enumerate_characters(
         raise DomainError("modulus must be >= 1")
     g = _group(q)
     out: List[DirichletCharacter] = []
-    exps = [0] * len(g.orders)
-    while True:
-        key = tuple(exps)
+    # C order, last exponent fastest
+    for key in itertools.product(*(range(o) for o in g.orders)):
         cond_parity = _conductor_parity(g, key)
         if not primitive_only or cond_parity[0] == q:
             out.append(_character(g, key, cond_parity))
-        # odometer increment, last position fastest
-        i = len(exps) - 1
-        while i >= 0:
-            exps[i] += 1
-            if exps[i] < g.orders[i]:
-                break
-            exps[i] = 0
-            i -= 1
-        if i < 0:
-            break
     return out
 
 

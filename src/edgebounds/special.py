@@ -15,7 +15,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .constants import EULER_GAMMA, LOG_3, PI, TWO_PI
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 
 Number = Union[float, complex]
 
@@ -171,6 +171,10 @@ def trivial_zero_tail(x: float) -> SeriesValue:
 _EM_B2 = 1.0 / 6.0
 _EM_B4 = 1.0 / 30.0
 
+# Most terms kappa_series_direct sums directly. The techlem1 grid needs at
+# most 2,403 (kappa = 0 at tail_tol = 1e-15).
+MAX_KAPPA_TERMS = 10 ** 7
+
 
 def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
     """Re sum_{n>=1} (2/(kappa+1+2n) - 1/(kappa+1+n)) summed with an Euler-Maclaurin tail.
@@ -182,8 +186,9 @@ def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
     the fourth derivative is at most 48/x^5 in size and the remainder at
     most (2|B_4|/4!) * 12/N^4 = |B_4|/N^4. N is the smallest integer
     >= 4(|a|+2) that brings this bound to tail_tol; abs_error is the bound
-    plus rounding. Nothing here comes from digamma, so the audits can hold
-    the two against each other.
+    plus rounding; an N above MAX_KAPPA_TERMS raises ResourceBudgetError
+    before any term is built. Nothing here comes from digamma, so the
+    audits can hold the two against each other.
     """
     k = complex(kappa)
     if k.real < 0.0:
@@ -194,6 +199,10 @@ def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
     n_em = max(math.ceil(4.0 * (abs(a) + 2.0)), math.ceil((_EM_B4 / tail_tol) ** 0.25))
     while _EM_B4 / n_em ** 4 > tail_tol:
         n_em += 1
+    if n_em > MAX_KAPPA_TERMS:
+        raise ResourceBudgetError(
+            "kappa series needs %d terms, beyond the %d budget" % (n_em, MAX_KAPPA_TERMS)
+        )
     if a.imag == 0.0:
         a = a.real  # real input: float arithmetic throughout
 

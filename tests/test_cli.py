@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebounds import _kernel, dirichlet, primes, run_audit, survey
+from edgebounds import _kernel, audits, dirichlet, primes, run_audit, survey
 from edgebounds.cli import run
 from edgebounds.errors import ResourceBudgetError
 
@@ -165,10 +165,23 @@ def test_window_empty_selection_builds_no_table(monkeypatch):
     assert code == 2 and text == "" and "with index 99" in err
 
 
-def test_csv_rejected_outside_survey():
+def test_csv_rejected_outside_survey(monkeypatch):
     code, _, err = cap(["constants", "--d", "1", "--format", "csv"])
     assert code == 2
     assert "error:" in err
+
+    # refused right after parsing, before the audit or the window runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the csv check")
+
+    monkeypatch.setattr(audits, "run_audit", no_work)
+    monkeypatch.setattr(audits, "window_records", no_work)
+    want = "error: --format csv is only available for 'dirichlet survey'\n"
+    for argv in (
+        ["audit", "--id", "window", "--format", "csv"],
+        ["window", "--q", "5", "--x", "1000", "--format", "csv"],
+    ):
+        assert cap(argv) == (2, "", want), argv
 
 
 def test_dirichlet_l1_single_index():

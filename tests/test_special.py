@@ -10,6 +10,7 @@ import pytest
 
 from edgebounds import (
     DomainError,
+    ResourceBudgetError,
     chandee_margin,
     digamma,
     digamma_rational,
@@ -146,6 +147,19 @@ def test_kappa_series_direct_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_kappa_series_direct_term_count_is_capped():
+    # N = 4,272,870,064 from tail_tol and 4e12 from the 4(|a|+2) floor
+    for kappa, tol in ((1.0, 1e-40), (1e12, 1e-12)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError):
+                kappa_series_direct(kappa, tail_tol=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (kappa, tol)
 
 
 def test_kappa_series_closed_frozen_values():
