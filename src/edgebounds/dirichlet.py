@@ -181,7 +181,7 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         g = _group(self.modulus)
         exps = tuple((-c) % o for c, o in zip(self.exponents, g.orders))
-        return _character(g, exps)
+        return _characters(g, [exps], [_conductor_parity(g, exps)])[0]
 
     def is_real(self) -> bool:
         g = _group(self.modulus)
@@ -201,32 +201,47 @@ def _conductor_parity(g: _UnitGroup, exps: Tuple[int, ...]) -> Tuple[int, int]:
     return cond, parity
 
 
-def _character(
-    g: _UnitGroup, exps: Tuple[int, ...], cond_parity: Optional[Tuple[int, int]] = None
-) -> DirichletCharacter:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _characters(
+    g: _UnitGroup,
+    keys: List[Tuple[int, ...]],
+    cond_parities: List[Tuple[int, int]],
+) -> List[DirichletCharacter]:
+    """The characters with exponent vectors keys, one value-matrix row each.
+
+    All phases come from one integer product dlog @ coeff^T, reduced mod
+    the common root order, and each value is looked up in the table of
+    exp(2 pi i k / root_order); the matrix is frozen, so the rows are too.
+    """
     q = g.q
-    cond, parity = cond_parity or _conductor_parity(g, exps)
-    coeff = np.array(
-        [c * w for c, w in zip(exps, g.phase_weights)], dtype=np.int64
-    )
-    if len(exps):
-        phases = (g.dlog @ coeff) % g.root_order
-    else:
-        phases = np.zeros(len(g.units), dtype=np.int64)
-    values = np.zeros(q if q > 1 else 1, dtype=np.complex128)
-    values[g.units] = np.exp(2j * np.pi * phases / g.root_order)
-    index = 0
-    for c, o in zip(exps, g.orders):
-        index = index * o + c
-    return DirichletCharacter(
-        modulus=q,
-        exponents=tuple(exps),
-        conductor=cond,
-        parity=parity,
-        primitive=(cond == q),
-        index=index,
-        _values=values,
-    )
+    coeff = np.array(keys, dtype=np.int64).reshape(len(keys), len(g.orders))
+    coeff *= np.array(g.phase_weights, dtype=np.int64)
+    phases = (g.dlog @ coeff.T) % g.root_order
+    roots = np.exp(2j * np.pi * np.arange(g.root_order) / g.root_order)
+    values = np.zeros((len(keys), q if q > 1 else 1), dtype=np.complex128)
+    values[:, g.units] = roots[phases.T]
+    _frozen(values)
+    out: List[DirichletCharacter] = []
+    for exps, (cond, parity), row in zip(keys, cond_parities, values):
+        index = 0
+        for c, o in zip(exps, g.orders):
+            index = index * o + c
+        out.append(
+            DirichletCharacter(
+                modulus=q,
+                exponents=tuple(exps),
+                conductor=cond,
+                parity=parity,
+                primitive=(cond == q),
+                index=index,
+                _values=row,
+            )
+        )
+    return out
 
 
 def enumerate_characters(
@@ -240,13 +255,15 @@ def enumerate_characters(
     if q < 1:
         raise DomainError("modulus must be >= 1")
     g = _group(q)
-    out: List[DirichletCharacter] = []
+    keys: List[Tuple[int, ...]] = []
+    cond_parities: List[Tuple[int, int]] = []
     # C order, last exponent fastest
     for key in itertools.product(*(range(o) for o in g.orders)):
         cond_parity = _conductor_parity(g, key)
         if not primitive_only or cond_parity[0] == q:
-            out.append(_character(g, key, cond_parity))
-    return out
+            keys.append(key)
+            cond_parities.append(cond_parity)
+    return _characters(g, keys, cond_parities)
 
 
 def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
@@ -262,12 +279,7 @@ def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
     # C order: the last exponent runs fastest, as enumerate_characters counts
     key = tuple(int(c) for c in np.unravel_index(index, g.orders))
     cond_parity = _conductor_parity(g, key)
-    return _character(g, key, cond_parity) if cond_parity[0] == q else None
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+    return _characters(g, [key], [cond_parity])[0] if cond_parity[0] == q else None
 
 
 @lru_cache(maxsize=None)
@@ -307,8 +319,12 @@ def _harmonic_rows(q: int, blocks: int) -> np.ndarray:
     """Sums of 1/n over n <= blocks*q in each residue class mod q.
 
     Entry r sums n = r mod q in increasing n, as np.bincount would over
-    the whole range; the terms are made a block of rows at a time and
-    each block is folded onto the running row by a sequential accumulate.
+    the whole range. The terms are made a block of rows at a time; the
+    running row is added to the block's first row and the block is folded
+    by np.add.reduce over axis 0. On a C-contiguous (rows, q) block that
+    reduce walks the columns innermost and adds the rows one after
+    another, so every column is still summed in increasing n (no pairwise
+    regrouping) without writing the running prefix that accumulate would.
     """
     rows = max(1, _HARMONIC_BLOCK // q)
     acc = np.zeros(q, dtype=np.float64)
@@ -318,8 +334,7 @@ def _harmonic_rows(q: int, blocks: int) -> np.ndarray:
         np.divide(1.0, block, out=block)
         block = block.reshape(hi - lo, q)
         block[0] += acc
-        np.add.accumulate(block, axis=0, out=block)
-        acc = block[-1].copy()
+        acc = np.add.reduce(block, axis=0)
     # column j holds n = j + 1 mod q
     return _frozen(np.roll(acc, 1))
 

@@ -186,22 +186,27 @@ def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
     the fourth derivative is at most 48/x^5 in size and the remainder at
     most (2|B_4|/4!) * 12/N^4 = |B_4|/N^4. N is the smallest integer
     >= 4(|a|+2) that brings this bound to tail_tol; abs_error is the bound
-    plus rounding; an N above MAX_KAPPA_TERMS raises ResourceBudgetError
-    before any term is built. Nothing here comes from digamma, so the
-    audits can hold the two against each other.
+    plus rounding; an N above MAX_KAPPA_TERMS, an infinite one included,
+    raises ResourceBudgetError before any term is built, and a kappa that
+    is not finite raises DomainError. Nothing here comes from digamma, so
+    the audits can hold the two against each other.
     """
     k = complex(kappa)
+    if not (math.isfinite(k.real) and math.isfinite(k.imag)):
+        raise DomainError("need finite kappa, got %r" % (kappa,))
     if k.real < 0.0:
         raise DomainError("need Re kappa >= 0, got %r" % (kappa,))
     if not tail_tol > 0.0:
         raise DomainError("tail_tol must be positive")
     a = k + 1.0
-    n_em = max(math.ceil(4.0 * (abs(a) + 2.0)), math.ceil((_EM_B4 / tail_tol) ** 0.25))
-    while _EM_B4 / n_em ** 4 > tail_tol:
-        n_em += 1
+    n_em = max(4.0 * (abs(a) + 2.0), (_EM_B4 / tail_tol) ** 0.25)
+    if n_em <= MAX_KAPPA_TERMS:  # else it may be inf, which math.ceil refuses
+        n_em = math.ceil(n_em)
+        while _EM_B4 / n_em ** 4 > tail_tol:
+            n_em += 1
     if n_em > MAX_KAPPA_TERMS:
         raise ResourceBudgetError(
-            "kappa series needs %d terms, beyond the %d budget" % (n_em, MAX_KAPPA_TERMS)
+            "kappa series needs %.10g terms, beyond the %d budget" % (n_em, MAX_KAPPA_TERMS)
         )
     if a.imag == 0.0:
         a = a.real  # real input: float arithmetic throughout

@@ -208,13 +208,13 @@ def test_dirichlet_l1_bad_index_exit_two():
 
 def test_index_builds_one_character(monkeypatch):
     built = []
-    character = dirichlet._character
+    characters = dirichlet._characters
 
-    def counting(g, exps, *rest):
-        built.append(exps)
-        return character(g, exps, *rest)
+    def counting(g, keys, cond_parities):
+        built.extend(keys)
+        return characters(g, keys, cond_parities)
 
-    monkeypatch.setattr(dirichlet, "_character", counting)
+    monkeypatch.setattr(dirichlet, "_characters", counting)
     code, text, _ = cap(["window", "--q", "397", "--index", "5", "--x", "1000"])
     assert code == 0 and len(json.loads(text)["records"]) == 1
     assert built == [(5,)]

@@ -108,13 +108,13 @@ def test_l1_series_agrees_with_digamma_method():
 
 def test_primitive_enumeration_builds_only_kept_tables(monkeypatch):
     built = []
-    make = dirichlet._character
+    make = dirichlet._characters
 
-    def counting(g, exps, cond_parity=None):
-        built.append(exps)
-        return make(g, exps, cond_parity)
+    def counting(g, keys, cond_parities):
+        built.extend(keys)
+        return make(g, keys, cond_parities)
 
-    monkeypatch.setattr(dirichlet, "_character", counting)
+    monkeypatch.setattr(dirichlet, "_characters", counting)
     for q in (8, 12, 45, 60, 97):
         every = [c for c in enumerate_characters(q) if c.primitive]
         del built[:]
@@ -125,6 +125,27 @@ def test_primitive_enumeration_builds_only_kept_tables(monkeypatch):
                 b.exponents, b.conductor, b.parity, b.index
             )
             assert a.value_table().tobytes() == b.value_table().tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 16, 32, 45, 60, 97, 128, 200])
+def test_primitive_character_equals_batched_enumeration(q):
+    # 2-power moduli from 8 up take the two generators (-1, 5)
+    for c in enumerate_characters(q, primitive_only=True):
+        one = dirichlet.primitive_character(q, c.index)
+        assert (one.exponents, one.conductor, one.parity, one.index) == (
+            c.exponents, c.conductor, c.parity, c.index
+        )
+        assert one.value_table().tobytes() == c.value_table().tobytes()
+
+
+def test_shared_value_matrix_is_read_only():
+    chi = enumerate_characters(5)[1]
+    before = chi.value(1)
+    with pytest.raises(ValueError):
+        chi._values[1] = 0
+    table = chi.value_table()
+    table[1] = 0
+    assert chi.value(1) == before != 0
 
 
 def _harmonic_rows_bincount(q, blocks):

@@ -162,6 +162,21 @@ def test_kappa_series_direct_term_count_is_capped():
         assert peak < 2 ** 20, (kappa, tol)
 
 
+@pytest.mark.parametrize(
+    "kappa", [math.inf, complex(0.0, math.inf), math.nan, complex(0.0, math.nan)]
+)
+def test_kappa_series_direct_rejects_non_finite_kappa(kappa):
+    with pytest.raises(DomainError):
+        kappa_series_direct(kappa)
+
+
+def test_kappa_series_direct_infinite_term_count_is_over_budget():
+    # B_4/tail_tol and 4(|a|+2) overflow to inf here; math.ceil refuses inf
+    for kappa, tol in ((0.0, 5e-324), (1e308, 1e-12), (complex(1e308, 1e308), 1e-12)):
+        with pytest.raises(ResourceBudgetError):
+            kappa_series_direct(kappa, tail_tol=tol)
+
+
 def test_kappa_series_closed_frozen_values():
     assert kappa_series_closed(0.0) == pytest.approx(0.45434873911844775, rel=1e-13)
     assert kappa_series_closed(1.0) == pytest.approx(0.572131774774831, rel=1e-13)
