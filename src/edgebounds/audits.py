@@ -19,9 +19,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from ._kernel import exact_sum
 from .constants import B_ZERO_SUM, EULER_GAMMA, LOG_2, LOG_PI, TWO_PI
 from .dirichlet import enumerate_characters, l1_value
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .lfunc import LFunctionInstance, dirichlet_instance
 from .primes import (
     PrimeTable,
@@ -90,6 +91,18 @@ def _margin_verdict(margin: float, tol: float) -> str:
     return "PASS" if margin >= -tol else "FAIL"
 
 
+# cells of one float64 grid array in trig, p2, hmax and logratio (80 MB each)
+MAX_GRID_CELLS = 10 ** 7
+
+
+def _check_grid(rows: int, cols: int) -> None:
+    """Refuse a rows x cols grid beyond MAX_GRID_CELLS before any array is made."""
+    if rows * cols > MAX_GRID_CELLS:
+        raise ResourceBudgetError(
+            "a %d x %d grid exceeds the %d-cell budget" % (rows, cols, MAX_GRID_CELLS)
+        )
+
+
 # ---------------------------------------------------------------------------
 # grid inequalities
 
@@ -100,6 +113,7 @@ def verify_trig_inequality(
     """min over k <= k_max, r in (0,1], theta of k^2(1-r cos t) - (1-r^k cos kt)."""
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
+    _check_grid(r_steps, theta_steps)
     r = np.linspace(1.0 / r_steps, 1.0, r_steps)[:, None]
     th = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)[None, :]
     cos_th = np.cos(th)
@@ -154,6 +168,7 @@ def verify_p2_positivity(
     w = [1.0 / (2.0 ** k * k * LOG_2) - 1.0 / (xf * math.log(xf)) for k in range(1, kk + 1)]
     if min(w) <= 0.0:
         raise DomainError("weights not positive at x=%r" % (x,))
+    _check_grid(r_steps, theta_steps)
     r = np.linspace(1.0 / r_steps, 1.0, r_steps)[:, None]
     th = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)[None, :]
     cos_th = np.cos(th)
@@ -292,6 +307,7 @@ def _pattern_search(
 
 
 def _compact_grid(sigma_max: float, t_max: float, n: int):
+    _check_grid(n, n)
     u = np.linspace(0.0, math.atan(sigma_max), n)
     v = np.linspace(-math.atan(t_max), math.atan(t_max), n)
     return np.tan(u)[:, None], np.tan(v)[None, :]
@@ -478,24 +494,25 @@ def verify_b_constant() -> AuditRecord:
 # explicit-formula windows
 
 
-def _window_weights(tbl: PrimeTable, x: float) -> List[tuple]:
+def _window_weights(tbl: PrimeTable, x: float) -> tuple:
     """Character-free factors of both window prime sums, built once per (tbl, x).
 
-    One tuple per exponent k: (p, p^k, k, 1 - k log p / log x, k p^k, log p,
-    1/p^k - 1/x). Every instance windowed at the same x shares them.
+    One flat grid over every p^k <= x, exponent by exponent: (p, p^k, k,
+    1 - k log p / log x, k p^k, log p, 1/p^k - 1/x), with k an int array
+    aligned with p. Every instance windowed at the same x shares it.
     """
     xf = float(x)
     logx = math.log(xf)
-    out = []
-    for p_arr, pk_arr, k in prime_power_grid(tbl, xf):
-        lp = np.log(p_arr.astype(np.float64))
-        pk = pk_arr.astype(np.float64)
-        out.append((p_arr, pk_arr, k, 1.0 - k * lp / logx, k * pk, lp, 1.0 / pk - 1.0 / xf))
-    return out
+    ps, pks, ks = zip(*prime_power_grid(tbl, xf))
+    p_arr, pk_arr = np.concatenate(ps), np.concatenate(pks)
+    k = np.repeat(np.array(ks, dtype=np.int64), [p.size for p in ps])
+    lp = np.log(p_arr.astype(np.float64))
+    pk = pk_arr.astype(np.float64)
+    return p_arr, pk_arr, k, 1.0 - k * lp / logx, k * pk, lp, 1.0 / pk - 1.0 / xf
 
 
 def _instance_prime_sums(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[list] = None
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
 ) -> Tuple[float, float]:
     """One pass over p^k <= x: (log-weight sum, linear-weight sum).
 
@@ -503,7 +520,8 @@ def _instance_prime_sums(
     linear-weight: Re a(p^k) * log p * (1/p^k - 1/x)
 
     weights are _window_weights(tbl, x), built here when not given. Each sum
-    is one exactly rounded fsum, so it does not depend on the term order.
+    is one exactly rounded fsum (_kernel.exact_sum), so it does not depend
+    on the term order.
     """
     if inst.coeff_oracle is None:
         raise DomainError("instance has no coefficient oracle")
@@ -511,14 +529,10 @@ def _instance_prime_sums(
         raise DomainError("oracle support ends below x")
     if weights is None:
         weights = _window_weights(tbl, x)
-    log_terms: List[float] = []
-    lin_terms: List[float] = []
-    for p_arr, pk_arr, k, log_num, log_den, lp, lin_w in weights:
-        re_a = inst.coefficients(p_arr, pk_arr, k).real
-        # keep this operation order: every window document depends on each bit
-        log_terms += (re_a * log_num / log_den).tolist()
-        lin_terms += (re_a * lp * lin_w).tolist()
-    return math.fsum(log_terms), math.fsum(lin_terms)
+    p_arr, pk_arr, k, log_num, log_den, lp, lin_w = weights
+    re_a = inst.coefficients(p_arr, pk_arr, k).real
+    # keep this operation order: every window document depends on each bit
+    return exact_sum(re_a * log_num / log_den), exact_sum(re_a * lp * lin_w)
 
 
 def _gamma_block(inst: LFunctionInstance) -> float:
@@ -537,7 +551,7 @@ def _check_window_x(x: float) -> float:
 
 
 def _windows(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[list] = None
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
 ) -> Tuple[Interval, Interval]:
     xf = _check_window_x(x)
     d = inst.d
@@ -590,7 +604,7 @@ def reB_window(inst: LFunctionInstance, tbl: PrimeTable, x: float) -> Interval:
 
 
 def explicit_formula_window(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[list] = None
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
 ) -> Interval:
     """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
 

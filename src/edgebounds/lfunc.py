@@ -3,7 +3,7 @@
 An instance carries the degree, the arithmetic conductor, the d spectral
 parameters (all with nonnegative real part), and optionally a coefficient
 oracle (p, k) -> a(p^k) with |a| <= d. When a(p^k) depends on p^k mod q
-only, a residue table turns the coefficients of a whole exponent segment
+only, a residue table turns the coefficients of a whole prime-power grid
 into one array lookup. Two factories cover the concrete cases used by the
 laboratory: primitive Dirichlet characters (degree 1) and holomorphic
 cusp-form shapes (degree 2).
@@ -86,26 +86,32 @@ class LFunctionInstance:
             raise DomainError("coefficient bound |a| <= d violated at (%d, %d)" % (p, k))
         return a
 
-    def coefficients(self, p_arr: np.ndarray, pk_arr: np.ndarray, k: int) -> np.ndarray:
-        """a(p^k) for one exponent k over arrays of primes p and powers p^k.
+    def coefficients(
+        self, p_arr: np.ndarray, pk_arr: np.ndarray, k: Union[int, np.ndarray]
+    ) -> np.ndarray:
+        """a(p^k) over arrays of primes p and powers p^k.
 
-        A residue table is indexed once; a plain oracle is called per prime.
-        Support and the |a| <= d bound are checked on the whole segment.
+        k is one exponent or an int array aligned with p_arr. A residue
+        table is indexed once; a plain oracle is called per prime. Support
+        and the |a| <= d bound are checked on the whole array.
         """
         if self.coeff_oracle is None:
             raise DomainError("instance %r has no coefficient oracle" % (self.label,))
         if np.any(pk_arr > self.oracle_support):
             raise DomainError("coefficient oracle support ends at %r" % (self.oracle_support,))
+        k_arr = np.broadcast_to(k, np.shape(p_arr))
         if self.coeff_table is not None:
             a = self.coeff_table[pk_arr % self.q]
         else:
             a = np.array(
-                [complex(self.coeff_oracle(int(p), k)) for p in p_arr], dtype=np.complex128
+                [complex(self.coeff_oracle(int(p), int(e))) for p, e in zip(p_arr, k_arr)],
+                dtype=np.complex128,
             )
         bad = np.flatnonzero(np.abs(a) > self.d + 1e-9)
         if bad.size:
             raise DomainError(
-                "coefficient bound |a| <= d violated at (%d, %d)" % (p_arr[bad[0]], k)
+                "coefficient bound |a| <= d violated at (%d, %d)"
+                % (p_arr[bad[0]], k_arr[bad[0]])
             )
         return a
 

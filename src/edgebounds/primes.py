@@ -2,8 +2,9 @@
 
 A smallest-prime-factor table drives everything: prime powers up to x are
 enumerated per exponent, term arrays are built vectorized, and every final
-reduction is an exactly-rounded compensated sum over a fixed term order, so
-results are identical across runs.
+reduction is _kernel.exact_sum, which returns math.fsum's correctly rounded
+value in a few whole-array passes, so results do not depend on term order
+and are identical across runs.
 """
 
 import math
@@ -145,9 +146,7 @@ def psi_total(tbl: PrimeTable, x: float) -> float:
     terms = []
     for p_arr, _pk, _k in prime_power_grid(tbl, x):
         terms.append(np.log(p_arr.astype(np.float64)))
-    if not terms:
-        return 0.0
-    return math.fsum(np.concatenate(terms))
+    return _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
 
 
 def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
@@ -168,7 +167,7 @@ def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
     for p_arr, pk_arr, _k in prime_power_grid(tbl, xf):
         lp = np.log(p_arr.astype(np.float64))
         terms.append(lp * (1.0 / pk_arr.astype(np.float64) - 1.0 / xf))
-    lhs = math.fsum(np.concatenate(terms)) if terms else 0.0
+    lhs = _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
 
     base = math.log(xf) - (1.0 + EULER_GAMMA) - trivial_zero_tail(xf).value
     window = 2.0 * abs(B_ZERO_SUM) / math.sqrt(xf)
@@ -199,7 +198,7 @@ def smoothed_sum_log(tbl: PrimeTable, x: float) -> dict:
     for p_arr, pk_arr, k in prime_power_grid(tbl, xf):
         lp = np.log(p_arr.astype(np.float64))
         terms.append((1.0 - k * lp / logx) / (k * pk_arr.astype(np.float64)))
-    lhs = math.fsum(np.concatenate(terms)) if terms else 0.0
+    lhs = _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
 
     window = 2.0 * abs(B_ZERO_SUM) / (math.sqrt(xf) * logx * logx) + 1.0 / (
         3.0 * xf ** 3 * logx * logx
@@ -233,4 +232,4 @@ def alternating_prime_power_sum(tbl: PrimeTable, x: float) -> float:
         lp = np.log(p_arr.astype(np.float64))
         sign = -1.0 if k % 2 else 1.0
         terms.append(sign * (1.0 / (k * pk_arr.astype(np.float64)) - lp * c))
-    return math.fsum(np.concatenate(terms)) if terms else 0.0
+    return _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0

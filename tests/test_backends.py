@@ -31,8 +31,8 @@ def test_fallback_matches_dispatch():
 
 
 def test_sieve_temporaries_are_bounded():
-    # the half-sieve mask for p = 2 and one sieve-sized mask plus index
-    # arrays for the final scan once came to about 3 MB here
+    # every prime is stamped and the final scan made a fixed slice at a
+    # time, so no mask or index array grows with the sieve
     limit = 2 * 10 ** 6
     tracemalloc.start()
     try:
@@ -40,4 +40,4 @@ def test_sieve_temporaries_are_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 4 * (limit + 1) < 2 ** 20
+    assert peak - 4 * (limit + 1) < 2 ** 18

@@ -1,5 +1,6 @@
 """CLI contract: document schema, exit codes, determinism, formats."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -284,6 +285,44 @@ def test_window_sweep_trace_contract():
     assert rep["lfunc.coefficient.calls"] == 0
     assert rep["primes.sieve_entries"] == 1001  # one table, sized to x
     assert rep["special.kappa_series_direct.calls"] == 0  # odd characters go through digamma
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["audit", "--id", "window"],
+            "f4c892ff6a7e1228f8194498afabc41429a09233e0d7847606d59db364f0e51f",
+        ),
+        (
+            ["audit", "--id", "window", "--qmax", "12", "--x", "2000", "--sieve-limit", "2000"],
+            "c981ab5b49771050983a92f8ca19ea1928f3b186d502338b0ba238fef8281aec",
+        ),
+        (
+            ["window", "--q", "397", "--index", "5", "--x", "1000"],
+            "518e122e9a0b2e30988dae419d0d60e266f9893098d550d163a5d6c1be7a5cc8",
+        ),
+    ],
+)
+def test_window_documents_pinned(argv, digest):
+    # frozen bit for bit: the prime sums' kernel may change, their values may not
+    code, text, err = cap(argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("audit_id", ["trig", "p2", "hmax", "logratio"])
+def test_grid_budget_exit_two_before_any_array(monkeypatch, audit_id):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid array was requested")
+
+    monkeypatch.setattr(audits.np, "linspace", no_grid)
+    code, text, err = cap(["audit", "--id", audit_id, "--grid-steps", "100000000"])
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "cell budget" in err
+    audits._check_grid(audits.MAX_GRID_CELLS, 1)
+    with pytest.raises(ResourceBudgetError):
+        audits._check_grid(audits.MAX_GRID_CELLS + 1, 1)
 
 
 def test_primesums_document():

@@ -18,6 +18,7 @@ from edgebounds import (
     hecke_instance,
     t_aspect_conductor,
 )
+from edgebounds.audits import _window_weights
 
 
 def test_satake_singleton_coefficients():
@@ -139,6 +140,36 @@ def test_coefficient_bound_enforced():
     assert short.coefficients(np.array([2, 7]), np.array([4, 49]), 2).tolist() == [1, 1]
     with pytest.raises(DomainError):
         short.coefficients(np.array([7, 11]), np.array([49, 121]), 2)
+
+
+def test_coefficient_bound_names_the_prime_power_on_an_exponent_array(table4):
+    p_arr, pk_arr, k = _window_weights(table4, 1000.0)[:3]
+    assert k.dtype == np.int64 and k.shape == p_arr.shape
+    bad = LFunctionInstance(
+        d=1,
+        q=1,
+        local_params=(0.0,),
+        coeff_oracle=lambda p, k: 5.0 if (p, k) == (3, 2) else 1.0,
+        label="bad-at-9",
+    )
+    with pytest.raises(DomainError, match=r"at \(3, 2\)"):
+        bad.coefficients(p_arr, pk_arr, k)
+    # 4 = 2^2 is the first power with residue 0 mod 4; every p^1 misses it
+    bad_table = LFunctionInstance(
+        d=1,
+        q=4,
+        local_params=(0.0,),
+        coeff_oracle=lambda p, k: 1.0,
+        label="bad-at-4",
+        coeff_table=np.array([5.0, 1.0, 1.0, 1.0], dtype=np.complex128),
+    )
+    with pytest.raises(DomainError, match=r"at \(2, 2\)"):
+        bad_table.coefficients(p_arr, pk_arr, k)
+    # an int k and the aligned array agree
+    ones = LFunctionInstance(d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: k - 1)
+    sel = k == 2
+    assert ones.coefficients(p_arr[sel], pk_arr[sel], 2).tolist() == [1] * int(sel.sum())
+    assert ones.coefficients(p_arr[sel], pk_arr[sel], k[sel]).tolist() == [1] * int(sel.sum())
 
 
 def test_instance_json_shape():
