@@ -284,8 +284,8 @@ def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
 
 @lru_cache(maxsize=None)
 def _psi_row(q: int) -> np.ndarray:
-    """psi(a/q) for a = 1..q-1."""
-    return _frozen(np.array([digamma_rational(a, q).value for a in range(1, q)]))
+    """psi(a/q) for a = 1..q-1, frozen."""
+    return digamma_rational(np.arange(1, q), q).value
 
 
 def l1_value(chi: DirichletCharacter) -> complex:
@@ -420,24 +420,31 @@ def survey_csv(rows: List[dict]) -> str:
 
 
 def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
-    """Envelope comparison over primitive non-principal chi, 3 <= q <= q_max."""
+    """Envelope comparison over primitive non-principal chi, 3 <= q <= q_max.
+
+    A primitive chi mod q has conductor q, so its analytic conductor and
+    envelope depend only on q and the parity: each is computed once per
+    (q, parity).
+    """
     if q_max < 3:
         raise DomainError("survey needs q_max >= 3")
     records: List[SurveyRecord] = []
     for q in range(3, q_max + 1):
+        envelopes: Dict[int, Tuple[float, Optional[float], bool]] = {}
         for chi in enumerate_characters(q, primitive_only=True):
             if chi.is_principal:
                 continue
+            if chi.parity not in envelopes:
+                c_chi = analytic_conductor(dirichlet_instance(chi))
+                if math.log(c_chi) > 1.0:
+                    rep = upper_bound(1, math.log(c_chi))
+                    envelopes[chi.parity] = (c_chi, rep.upper, rep.valid)
+                else:
+                    envelopes[chi.parity] = (c_chi, None, False)
+            c_chi, bu, bv = envelopes[chi.parity]
             val = l1_value(chi)
-            c_chi = analytic_conductor(dirichlet_instance(chi))
             abs_l1 = abs(val)
-            if math.log(c_chi) > 1.0:
-                rep = upper_bound(1, math.log(c_chi))
-                bu: Optional[float] = rep.upper
-                bv = rep.valid
-                ratio: Optional[float] = abs_l1 / rep.upper
-            else:
-                bu, bv, ratio = None, False, None
+            ratio = None if bu is None else abs_l1 / bu
             records.append(
                 SurveyRecord(
                     q=q,

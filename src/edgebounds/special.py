@@ -1,9 +1,10 @@
-"""Scalar special-function kernels.
+"""Scalar special-function kernels, and digamma rows at rationals.
 
-Digamma (complex, and exact-formula at rationals), the tail series generated
-by trivial zeros, and the two series/ratio expressions audited elsewhere in
-the package. Every result is returned as a SeriesValue carrying a rigorous
-absolute-error estimate that downstream consumers propagate.
+Digamma (complex, and exact-formula at rationals a/q, for one a or a whole
+array of them), the tail series generated by trivial zeros, and the two
+series/ratio expressions audited elsewhere in the package. Every result is
+returned as a SeriesValue carrying a rigorous absolute-error estimate that
+downstream consumers propagate.
 """
 
 import cmath
@@ -14,6 +15,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from ._kernel import exact_sum
 from .constants import EULER_GAMMA, LOG_3, PI, TWO_PI
 from .errors import DomainError, ResourceBudgetError
 
@@ -22,9 +24,9 @@ Number = Union[float, complex]
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A numeric result paired with a truncation/rounding error bound."""
+    """A numeric result, or a frozen array of them, with a truncation/rounding error bound."""
 
-    value: Number
+    value: Union[Number, np.ndarray]
     abs_error: float
 
     def __post_init__(self) -> None:
@@ -103,32 +105,65 @@ def _cos_log_sin(q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, cos_tab, log_sin
 
 
-def digamma_rational(a: int, q: int) -> SeriesValue:
+_ROW_BLOCK = 1 << 13  # matrix cells digamma_rational builds at once
+
+
+def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
     """Digamma at the rational point a/q via the finite cosine-log formula.
 
-    Exact closed form for 1 <= a <= q; all terms are accumulated with
-    compensated summation, keeping the absolute error at the 1e-15 scale
-    for the modulus sizes used in this package. The cosines and log-sines
-    come from one table per q, each entry built by the scalar math
-    functions, so every term is the same float as when computed alone.
-    """
-    if not (isinstance(a, (int, np.integer)) and isinstance(q, (int, np.integer))):
-        raise DomainError("arguments must be integers")
-    if q < 1 or a < 1 or a > q:
-        raise DomainError("need 1 <= a <= q, got a=%r q=%r" % (a, q))
-    if a == q:
-        return SeriesValue(-EULER_GAMMA, 5e-16)
+    Exact closed form for 1 <= a <= q:
+    psi(a/q) = -gamma - log 2q - (pi/2) cot(pi a/q)
+               + 2 sum_{n <= (q-1)/2} cos(2 pi n a/q) log sin(pi n/q),
+    with the cotangent left out at 2a = q. The cosines and log-sines come
+    from one table per q, each entry built by the scalar math functions, so
+    every term is the same float as when computed alone; the terms of each
+    a are summed exactly rounded (_kernel.exact_sum), keeping the absolute
+    error at the 1e-15 scale for the modulus sizes used in this package.
 
-    terms = [-EULER_GAMMA, -math.log(2.0 * q)]
-    if 2 * a != q:
-        terms.append(-(PI / 2.0) / math.tan(PI * a / q))
-    n, cos_tab, log_sin = _cos_log_sin(int(q))
-    terms += (2.0 * cos_tab[n * int(a) % q] * log_sin).tolist()
-    value = math.fsum(terms)
+    a may be a 1-D integer array: the value is then a frozen float64 array,
+    entry for entry the scalar result, and abs_error the largest entry
+    bound. Its terms are built a block of rows at a time, so the working
+    memory stays near _ROW_BLOCK cells at any q.
+    """
+    scalar = isinstance(a, (int, np.integer))
+    if not (scalar or isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
+        raise DomainError("a must be an integer or a 1-D integer array")
+    if not isinstance(q, (int, np.integer)):
+        raise DomainError("arguments must be integers")
+    a_arr = np.array([a] if scalar else a, dtype=np.int64)
+    if q < 1 or (a_arr.size and not 1 <= a_arr.min() <= a_arr.max() <= q):
+        raise DomainError("need 1 <= a <= q, got a=%r q=%r" % (a, q))
+    q = int(q)
+
+    cot = [0.0 if 2 * k == q else -(PI / 2.0) / math.tan(PI * k / q) for k in a_arr.tolist()]
+    n, cos_tab, log_sin = _cos_log_sin(q)
+    rows = max(1, _ROW_BLOCK // (3 + n.size))
+    terms = np.empty((min(rows, a_arr.size), 3 + n.size), dtype=np.float64)
+    terms[:, 0] = -EULER_GAMMA
+    terms[:, 1] = -math.log(2.0 * q)
+    value = np.empty(a_arr.size, dtype=np.float64)
+    for lo in range(0, a_arr.size, rows):
+        hi = min(a_arr.size, lo + rows)
+        block = terms[:hi - lo]
+        block[:, 2] = cot[lo:hi]
+        phase = np.multiply.outer(a_arr[lo:hi], n)
+        phase %= q
+        cos_log_sin = block[:, 3:]
+        np.take(cos_tab, phase, out=cos_log_sin)
+        cos_log_sin *= 2.0
+        cos_log_sin *= log_sin
+        # one row alone is cheaper through fsum, whose bits exact_sum returns
+        value[lo:hi] = math.fsum(block[0].tolist()) if scalar else exact_sum(block)
+    whole = a_arr == q  # psi(1) = -gamma, where the cotangent has its pole
+    value[whole] = -EULER_GAMMA
     # Rounding grows with the number of cosine-log terms and, near the
     # pole at 0, with the magnitude of the value itself.
-    abs_error = min(1e-14, 4e-15 + 1.5e-17 * q) + 4e-16 * abs(value)
-    return SeriesValue(value, abs_error)
+    abs_error = min(1e-14, 4e-15 + 1.5e-17 * q) + 4e-16 * np.abs(value)
+    abs_error[whole] = 5e-16
+    if scalar:
+        return SeriesValue(float(value[0]), float(abs_error[0]))
+    value.flags.writeable = False
+    return SeriesValue(value, float(abs_error.max(initial=0.0)))
 
 
 def trivial_zero_tail(x: float) -> SeriesValue:

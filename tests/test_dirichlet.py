@@ -16,6 +16,8 @@ from edgebounds import (
     survey,
 )
 from edgebounds import dirichlet
+from edgebounds.bounds import upper_bound
+from edgebounds.lfunc import analytic_conductor, dirichlet_instance
 from edgebounds.special import digamma_rational
 
 
@@ -225,6 +227,34 @@ def test_survey_frozen_rows():
     assert r9.bound_upper == pytest.approx(-5.384243052573376, rel=1e-12)
     assert r9.ratio == pytest.approx(-0.22458116477082388, rel=1e-12)
     assert not r9.bound_valid  # advisory: conductor far below the proven range
+
+
+def _survey_per_character(q_max):
+    """The survey with the conductor and envelope computed for every chi."""
+    records = []
+    for q in range(3, q_max + 1):
+        for chi in enumerate_characters(q, primitive_only=True):
+            if chi.is_principal:
+                continue
+            val = l1_value(chi)
+            c_chi = analytic_conductor(dirichlet_instance(chi))
+            bu, bv, ratio = None, False, None
+            if math.log(c_chi) > 1.0:
+                rep = upper_bound(1, math.log(c_chi))
+                bu, bv, ratio = rep.upper, rep.valid, abs(val) / rep.upper
+            records.append(
+                dirichlet.SurveyRecord(
+                    q=q, char_index=chi.index, conductor=chi.conductor, parity=chi.parity,
+                    L1=val, abs_L1=abs(val), C_chi=c_chi, bound_upper=bu, bound_valid=bv,
+                    ratio=ratio,
+                )
+            )
+    return records
+
+
+def test_survey_equals_per_character_reference():
+    got = [repr(r.to_json_dict()) for r in survey(60)]
+    assert got == [repr(r.to_json_dict()) for r in _survey_per_character(60)]
 
 
 def test_survey_record_json_shape():

@@ -150,3 +150,53 @@ def test_exact_sum_needs_no_fallback_on_prime_sums(monkeypatch):
     psi_total(tbl, 10 ** 4)
     smoothed_sum_linear(tbl, 10 ** 4)
     assert calls == []
+
+
+def _assert_rows_match_fsum(matrix):
+    got = exact_sum(matrix)
+    assert isinstance(got, np.ndarray) and got.shape == matrix.shape[:1]
+    for row, value in zip(matrix, got.tolist()):
+        assert struct.pack("<d", value) == struct.pack("<d", math.fsum(row.tolist())), row
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 16).flatmap(
+        lambda n: st.lists(st.lists(_wide, min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+)
+def test_exact_sum_rows_match_fsum_per_row(rows):
+    _assert_rows_match_fsum(np.array(rows, dtype=np.float64).reshape(len(rows), -1))
+
+
+@pytest.mark.filterwarnings("error")  # the inf and nan rows are not split
+def test_exact_sum_rows_mix_certified_and_fallback_rows(monkeypatch):
+    matrix = np.array(
+        [
+            [1.5, -0.25, 3.0, 1e-3, 7.0],
+            [1.0, math.inf, 2.0, 0.0, -5.0],
+            [math.nan, 1.0, 2.0, 3.0, 4.0],
+            [-0.0, -0.0, -0.0, -0.0, -0.0],
+            [0.0, -0.0, -0.0, 0.0, -0.0],
+            [2.0 ** -950, 2.0 ** -960, -(2.0 ** -970), 0.0, 2.0 ** -1000],
+            # cancels to a sum the splits catch whole
+            [1e16, 3.0, -1e16, 0.5, 0.25],
+            # cancels to a sum left in the rest: the bracket around it decides
+            [1e16, 1.0, -1e16, 2.0 ** -60, -1.0],
+            [0.1, 0.2, 0.3, -0.6, 1e-17],
+        ]
+    )
+    calls = _count_fallbacks(monkeypatch)
+    _assert_rows_match_fsum(matrix)
+    # inf, nan, both zero rows, the row below 2^-900 and the uncertified
+    # cancelling row; the other three are certified
+    assert calls == [5] * 6
+
+
+def test_exact_sum_rows_agree_with_one_dimensional_calls():
+    rng = np.random.default_rng(12)
+    matrix = rng.standard_normal((7, 300)) * np.exp(rng.uniform(-30, 30, (7, 300)))
+    assert exact_sum(matrix).tolist() == [exact_sum(row) for row in matrix]
+    assert exact_sum(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert exact_sum(np.zeros((0, 4))).shape == (0,)
+    assert type(exact_sum(matrix[0])) is float

@@ -83,6 +83,46 @@ def test_digamma_rational_equals_scalar_terms():
             assert got.abs_error == min(1e-14, 4e-15 + 1.5e-17 * q) + 4e-16 * abs(want)
 
 
+def test_digamma_rational_rows_equal_scalar_calls():
+    # q even covers the 2a = q entry, and a = q the psi(1) entry
+    for q in list(range(2, 401)) + [997, 1024, 2000]:
+        row = digamma_rational(np.arange(1, q + 1), q)
+        assert not row.value.flags.writeable
+        scalars = [digamma_rational(a, q) for a in range(1, q + 1)]
+        assert row.value.tolist() == [s.value for s in scalars], q
+        assert row.abs_error == max(s.abs_error for s in scalars), q
+
+
+@pytest.mark.parametrize(
+    "a, q",
+    [
+        (np.array([0, 1]), 5),
+        (np.array([1, 6]), 5),
+        (np.array([1.0, 2.0]), 5),
+        (np.array([[1, 2]]), 5),
+        ([1, 2], 5),
+        (np.array([1, 2]), 5.0),
+        (np.array([1, 2]), 0),
+    ],
+)
+def test_digamma_rational_rejects_bad_rows(a, q):
+    with pytest.raises(DomainError):
+        digamma_rational(a, q)
+
+
+def test_digamma_rational_row_working_memory_is_bounded():
+    # unblocked, the 4098 x 2052 terms of this row would take 67 MB
+    q = 4099
+    tracemalloc.start()
+    try:
+        row = digamma_rational(np.arange(1, q), q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.value.shape == (q - 1,)
+    assert peak < 4 * 2 ** 20
+
+
 def test_kappa_series_direct_frozen_values():
     assert kappa_series_direct(0.0).value == pytest.approx(0.38629436111989063, rel=1e-13)
     assert kappa_series_direct(1.0).value == pytest.approx(0.5, abs=1e-12)
