@@ -44,7 +44,7 @@ def spf_array(limit: int) -> np.ndarray:
 
 
 def _extract(rows: np.ndarray, tops: List[float], m: int):
-    """(exact row sums of the high parts, high parts) of rows split at sigma.
+    """(exact row sums of the high parts, low parts) of rows split at sigma.
 
     Each row has its own sigma = 2^(e + m) with top < 2^e and 2^m >= n, so
     every high part is a multiple of ulp(sigma)/2 no larger than sigma / n:
@@ -55,7 +55,7 @@ def _extract(rows: np.ndarray, tops: List[float], m: int):
     sigma = np.array([math.ldexp(1.0, math.frexp(t)[1] + m) for t in tops])[:, None]
     high = rows + sigma
     high -= sigma
-    return high.sum(axis=1), high
+    return np.add.reduce(high, 1).tolist(), np.subtract(rows, high, out=high)
 
 
 def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
@@ -74,26 +74,26 @@ def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
     m = n.bit_length() + 1  # 2^m >= n + 2
     # sigma <= 2^(m+1) top, so top <= 2^(899-m) keeps sigma <= 2^900
     cap = _HUGE * 2.0 ** -(m + 1)
-    tops = np.abs(rows).max(axis=1).tolist()  # not finite on a row with a term that is not
+    # ufunc reductions: the ndarray methods add a fixed cost to every call,
+    # and the prime sums make hundreds of 1-D calls per run
+    tops = np.maximum.reduce(np.abs(rows), 1).tolist()  # not finite on a row with a term that is not
     split = [_TINY <= t <= cap for t in tops]
     good = rows
     if not all(split):
         # zeroed, these rows split harmlessly; math.fsum sums them below
         good = np.where(np.array(split)[:, None], rows, 0.0)
         tops = [t if ok else 0.0 for t, ok in zip(tops, split)]
-    s1, high = _extract(good, tops, m)
-    rest = good - high
-    tops = np.abs(rest).max(axis=1).tolist()  # <= u sigma, so below the cap
+    s1, rest = _extract(good, tops, m)
+    tops = np.maximum.reduce(np.abs(rest), 1).tolist()  # <= u sigma, so below the cap
     # a row with top == 0 splits into zeros: s2 = 0 and the rest stays
-    s2, high = _extract(rest, tops, m)
-    rest -= high
-    r = rest.sum(axis=1).tolist()
-    mag = np.abs(rest, out=rest).sum(axis=1).tolist()
+    s2, rest = _extract(rest, tops, m)
+    r = np.add.reduce(rest, 1).tolist()
+    mag = np.add.reduce(np.abs(rest, out=rest), 1).tolist()
     # |r - sum(rest)| <= (n - 1) u sum|rest| / (1 - (n - 1) u) <= e, with
     # the rounding of e's own sum and product inside the factor of 2
     scale = 2.0 * n * _U
     sums = []
-    for i, (ok, a, b, t, g, c) in enumerate(zip(split, s1.tolist(), s2.tolist(), tops, mag, r)):
+    for i, (ok, a, b, t, g, c) in enumerate(zip(split, s1, s2, tops, mag, r)):
         ok = ok and not 0.0 < t < _TINY  # a rest below 2^-900 is not split again
         if ok and g == 0.0:  # the splits caught every bit; one addition rounds it
             below = above = a + b

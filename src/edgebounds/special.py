@@ -130,9 +130,10 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
         raise DomainError("a must be an integer or a 1-D integer array")
     if not isinstance(q, (int, np.integer)):
         raise DomainError("arguments must be integers")
-    a_arr = np.array([a] if scalar else a, dtype=np.int64)
-    if q < 1 or (a_arr.size and not 1 <= a_arr.min() <= a_arr.max() <= q):
+    if q < 1 or (scalar and not 1 <= a <= q) or (
+            not scalar and a.size and not 1 <= a.min() <= a.max() <= q):
         raise DomainError("need 1 <= a <= q, got a=%r q=%r" % (a, q))
+    a_arr = np.array([a] if scalar else a, dtype=np.int64)
     q = int(q)
 
     cot = [0.0 if 2 * k == q else -(PI / 2.0) / math.tan(PI * k / q) for k in a_arr.tolist()]
@@ -152,8 +153,7 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
         np.take(cos_tab, phase, out=cos_log_sin)
         cos_log_sin *= 2.0
         cos_log_sin *= log_sin
-        # one row alone is cheaper through fsum, whose bits exact_sum returns
-        value[lo:hi] = math.fsum(block[0].tolist()) if scalar else exact_sum(block)
+        value[lo:hi] = exact_sum(block)
     whole = a_arr == q  # psi(1) = -gamma, where the cotangent has its pole
     value[whole] = -EULER_GAMMA
     # Rounding grows with the number of cosine-log terms and, near the

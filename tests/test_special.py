@@ -103,6 +103,8 @@ def test_digamma_rational_rows_equal_scalar_calls():
         ([1, 2], 5),
         (np.array([1, 2]), 5.0),
         (np.array([1, 2]), 0),
+        (10 ** 20, 5),
+        (-(10 ** 20), 5),
     ],
 )
 def test_digamma_rational_rejects_bad_rows(a, q):
