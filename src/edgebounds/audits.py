@@ -204,6 +204,8 @@ def verify_techlem2_grid(
     re_steps: int = 25, im_steps: int = 20, x_steps: int = 20
 ) -> AuditRecord:
     """ratio |(x^-k - 1)/(k(k+1))| log3/(2 log x) <= 1 on a fixed lattice."""
+    if re_steps < 1 or im_steps < 1 or x_steps < 1:
+        raise DomainError("need at least one grid step per axis")
     res = np.linspace(0.0, 10.0, re_steps)
     ims = np.linspace(-10.0, 10.0, im_steps)
     xs = np.geomspace(1.01, 1e6, x_steps)
@@ -235,19 +237,30 @@ def verify_techlem2_grid(
     )
 
 
+# grid cells verify_chandee_grid evaluates at once (one row if a row is longer)
+_CHANDEE_BLOCK = 1 << 12
+
+
 def verify_chandee_grid(
     re_steps: int = 200, im_steps: int = 200
 ) -> AuditRecord:
-    """log|z| - Re psi(z) >= 0 on Re z in [1/4, 20], |Im z| <= 50."""
+    """log|z| - Re psi(z) >= 0 on Re z in [1/4, 20], |Im z| <= 50.
+
+    The grid is walked a block of whole rows at a time; argmin is the first
+    smallest margin in row-major order.
+    """
+    if re_steps < 1 or im_steps < 1:
+        raise DomainError("need at least one grid step per axis")
     res = np.linspace(0.25, 20.0, re_steps)
     ims = np.linspace(-50.0, 50.0, im_steps)
+    rows = max(1, _CHANDEE_BLOCK // im_steps)
     worst = math.inf
     arg = (0.0, 0.0)
-    for a in res:
-        for b in ims:
-            m = chandee_margin(complex(a, b))
-            if m < worst:
-                worst, arg = m, (float(a), float(b))
+    for lo in range(0, re_steps, rows):
+        m = chandee_margin(res[lo:lo + rows, None] + 1j * ims)
+        i, j = np.unravel_index(np.argmin(m), m.shape)
+        if m[i, j] < worst:
+            worst, arg = float(m[i, j]), (float(res[lo + i]), float(ims[j]))
     return AuditRecord(
         id="chandee",
         params={

@@ -8,6 +8,7 @@ form, non-finite values as null. Exit status: 0 when no record FAILs,
 """
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable, List, Optional, Tuple
@@ -29,6 +30,7 @@ def _add_common(p: argparse.ArgumentParser, handler: Callable[..., _Result]) -> 
     p.add_argument("--out", default=None, help="write the document here instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)  # built on the first run, not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="edgebounds",

@@ -1,10 +1,20 @@
-"""Scalar special-function kernels, and digamma rows at rationals.
+"""Scalar special-function kernels, digamma rows at rationals, Chandee margins.
 
 Digamma (complex, and exact-formula at rationals a/q, for one a or a whole
 array of them), the tail series generated by trivial zeros, and the two
 series/ratio expressions audited elsewhere in the package. Every result is
 returned as a SeriesValue carrying a rigorous absolute-error estimate that
 downstream consumers propagate.
+
+The Chandee margin log|z| - Re digamma(z) is computed for a whole array of
+z at once, with the bits the scalar digamma gives point by point. So its
+kernel does not use NumPy complex arithmetic: NumPy divides complex numbers
+through a reciprocal, where CPython uses Smith's method, and the last bits
+differ. It writes out CPython's complex product and quotient on the real
+and imaginary float64 arrays instead. Every log is math.log, taken over a
+list, because np.log can round differently from the C library log that
+math.log and cmath.log call (it did for moduli of the chandee grid on an
+AVX-512 machine).
 """
 
 import cmath
@@ -58,6 +68,7 @@ def digamma(z: Number) -> SeriesValue:
     Upward recurrence moves the argument to |z| >= 10 (after reflection when
     Re z < 0), then the Bernoulli asymptotic series truncated at the eighth
     term is applied. Absolute error stays below 1e-13 away from poles.
+    _chandee_margins replays these steps on arrays, bit for bit, for Re z >= 0.
     """
     w = complex(z)
     if w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real):
@@ -306,13 +317,75 @@ def techlem2_bound_ratio(kappa: Number, x: float) -> float:
     return abs(core) * LOG_3 / (2.0 * big_l)
 
 
-def chandee_margin(z: Number) -> float:
+def _quot(num: float, br: np.ndarray, bi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """num / (br + i bi) for a real num, as CPython's _Py_c_quot divides.
+
+    Smith's method: both parts are divided by the larger-magnitude one
+    (the real part when |br| >= |bi|), chosen per element. The numerator's
+    imaginary part is zero, so its terms drop out; only the sign of a zero
+    can differ from CPython's.
+    """
+    first = np.abs(br) >= np.abs(bi)
+    big = np.where(first, br, bi)
+    small = np.where(first, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    scaled = num * ratio
+    return np.where(first, num, scaled) / denom, -np.where(first, scaled, num) / denom
+
+
+def _prod(ar, ai, br, bi) -> Tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai)(br + i bi), as CPython's _Py_c_prod multiplies."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log of each element (np.log may round differently)."""
+    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
+
+
+def _chandee_margins(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """log|z| - Re digamma(z) at z = re + i im, for Re z >= 0, elementwise.
+
+    Replays digamma's steps on whole arrays: the shift while |w| < 10, w*w,
+    the asymptotic series and 0.5/w. Only the real parts that Re digamma(z)
+    adds up are kept. Moduli come from np.hypot, which is the C hypot that
+    abs(complex) calls; logs from math.log.
+    """
+    wr = re.copy()
+    acc = np.zeros_like(re)
+    idx = np.flatnonzero(np.hypot(re, im) < _SHIFT_RADIUS)
+    while idx.size:
+        r, i = wr[idx], im[idx]
+        acc[idx] -= _quot(1.0, r, i)[0]
+        r += 1.0
+        wr[idx] = r
+        idx = idx[np.hypot(r, i) < _SHIFT_RADIUS]
+
+    inv2 = _quot(1.0, *_prod(wr, im, wr, im))
+    series = np.zeros_like(re)
+    power = inv2
+    for c in _ASYMP_COEFFS:
+        series += c * power[0]
+        power = _prod(*power, *inv2)
+    psi = _log(np.hypot(wr, im)) + acc - _quot(0.5, wr, im)[0] - series
+    return _log(np.hypot(re, im)) - psi
+
+
+def chandee_margin(z: Union[Number, np.ndarray]) -> Union[float, np.ndarray]:
     """log|z| - Re digamma(z) on the half-plane Re z >= 1/4.
 
-    The audited inequality asserts the margin is nonnegative there.
+    The audited inequality asserts the margin is nonnegative there. z may
+    be a complex number or an ndarray of them; an array gives an array of
+    the same shape. Each margin has the bits of
+    math.log(abs(z)) - digamma(z).value.real. A z that is not finite, or
+    has Re z < 1/4, raises DomainError.
     """
-    w = complex(z)
-    if w.real < 0.25:
-        raise DomainError("need Re z >= 1/4, got %r" % (z,))
-    psi = digamma(w).value
-    return math.log(abs(w)) - complex(psi).real
+    arr = np.asarray(z, dtype=np.complex128)
+    re, im = arr.real.ravel(), arr.imag.ravel()
+    if not (np.isfinite(re) & np.isfinite(im) & (re >= 0.25)).all():
+        raise DomainError("need finite z with Re z >= 1/4, got %r" % (z,))
+    margin = _chandee_margins(re, im)
+    if arr.ndim == 0:
+        return float(margin[0])
+    return margin.reshape(arr.shape)

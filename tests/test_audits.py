@@ -11,6 +11,7 @@ from edgebounds import (
     LFunctionInstance,
     b_constant,
     build_table,
+    chandee_margin,
     dirichlet_instance,
     enumerate_characters,
     explicit_formula_window,
@@ -20,8 +21,11 @@ from edgebounds import (
     identity_residual_techlem1,
     reB_window,
     run_audit,
+    verify_chandee_grid,
     verify_p2_positivity,
+    verify_techlem2_grid,
 )
+from edgebounds import audits
 from edgebounds.audits import (
     AUDIT_IDS,
     TABLE_AUDIT_IDS,
@@ -150,6 +154,46 @@ def test_chandee_grid_frozen():
     assert rec.verdict == "PASS"
     assert rec.lhs == pytest.approx(1.6666583339652874e-05, rel=1e-10)
     assert rec.params["argmin_re"] == 0.25 and rec.params["argmin_im"] == -50.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 13), (3, 5000), (45, 11)])
+def test_chandee_grid_blocks_match_point_loop(shape):
+    # the first strict minimum in row-major order, as a loop over the points keeps
+    res = np.linspace(0.25, 20.0, shape[0])
+    ims = np.linspace(-50.0, 50.0, shape[1])
+    worst, arg = math.inf, None
+    for a in res.tolist():
+        for b in ims.tolist():
+            m = chandee_margin(complex(a, b))
+            if m < worst:
+                worst, arg = m, (a, b)
+    rec = verify_chandee_grid(*shape)
+    assert rec.lhs == worst and (rec.params["argmin_re"], rec.params["argmin_im"]) == arg
+
+
+def test_chandee_grid_keeps_first_minimum_across_blocks(monkeypatch):
+    # every row with Re z > 5 ties at the minimum; blocks of 20 rows put the
+    # first of them (row 48) in the third block, and later blocks must not win
+    monkeypatch.setattr(audits, "chandee_margin", lambda z: np.where(z.real > 5.0, -1.0, 0.0))
+    rec = verify_chandee_grid()
+    res = np.linspace(0.25, 20.0, 200)
+    assert rec.lhs == -1.0
+    assert rec.params["argmin_re"] == res[res > 5.0][0] and rec.params["argmin_im"] == -50.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_chandee_grid(0, 200),
+        lambda: verify_chandee_grid(200, 0),
+        lambda: verify_techlem2_grid(0, 20, 20),
+        lambda: verify_techlem2_grid(25, 0, 20),
+        lambda: verify_techlem2_grid(25, 20, 0),
+    ],
+)
+def test_empty_grids_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_b_constant_audit():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebounds import _kernel, audits, dirichlet, primes, run_audit, survey
+from edgebounds import _kernel, audits, cli, dirichlet, primes, run_audit, survey
 from edgebounds.cli import run
 from edgebounds.errors import ResourceBudgetError
 
@@ -302,6 +302,10 @@ def test_window_sweep_trace_contract():
             ["window", "--q", "397", "--index", "5", "--x", "1000"],
             "518e122e9a0b2e30988dae419d0d60e266f9893098d550d163a5d6c1be7a5cc8",
         ),
+        (
+            ["audit", "--id", "chandee"],
+            "f647268652e9b83a2a9ed6e60cd43c1c9c48e064a96c511a5ec451e6b845fb17",
+        ),
     ],
 )
 def test_window_documents_pinned(argv, digest):
@@ -309,6 +313,14 @@ def test_window_documents_pinned(argv, digest):
     code, text, err = cap(argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_parser_built_once_per_process():
+    cli._build_parser.cache_clear()
+    assert cap(["constants", "--d", "1"])[0] == 0
+    assert cap(["bound", "--d", "1", "--log-conductor", "23"])[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("audit_id", ["trig", "p2", "hmax", "logratio"])

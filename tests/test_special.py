@@ -258,6 +258,84 @@ def test_chandee_margin_frozen_worst_grid_point():
     assert chandee_margin(2.0 + 3.0j) > 0.0
 
 
+def _scalar_margin(z):
+    return math.log(abs(z)) - complex(digamma(z).value).real
+
+
+def _assert_margins_bitwise(zs):
+    zs = np.asarray(zs, dtype=np.complex128)
+    got = chandee_margin(zs)
+    want = np.array([_scalar_margin(z) for z in zs.ravel().tolist()]).reshape(zs.shape)
+    assert got.shape == zs.shape and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_chandee_margin_array_bitwise_on_audit_grid():
+    res = np.linspace(0.25, 20.0, 200)
+    ims = np.linspace(-50.0, 50.0, 200)
+    _assert_margins_bitwise(res[:, None] + 1j * ims)
+
+
+def _shift_moduli(z):
+    """|w| at each test of digamma's shift loop, w = z, z + 1, ... until |w| >= 10."""
+    w = complex(z)
+    out = [abs(w)]
+    while out[-1] < 10.0:
+        w += 1.0
+        out.append(abs(w))
+    return out
+
+
+def test_chandee_margin_array_bitwise_at_the_shift_boundary():
+    # z + k lands a few ulps either side of |w| = 10 after k shifts
+    zs = []
+    for y in np.linspace(0.0, 9.75, 40).tolist():
+        x = math.sqrt(100.0 - y * y)
+        for k in range(int(x - 0.25) + 1):
+            base = x - k
+            for step in range(-3, 4):
+                zs.append(complex(base + step * math.ulp(base), y))
+                zs.append(complex(base + step * math.ulp(base), -y))
+    zs += [6.0 + 8.0j, 1.0 + 8.0j, 1.0 + 0.0j, 10.0, math.nextafter(10.0, 0.0)]
+    near = [m for z in zs for m in _shift_moduli(z) if abs(m - 10.0) < 1e-12]
+    assert 10.0 in near
+    assert any(m < 10.0 for m in near) and any(m > 10.0 for m in near)
+    _assert_margins_bitwise(zs)
+
+
+def test_chandee_margin_array_bitwise_edges_and_far_field():
+    zs = [0.25, 0.25 + 1e-300j, 0.25 - 50.0j, 3.0, 19.5, 1e6, 0.25 + 1e6j, 0.25 - 1e6j,
+          7e5 + 7e5j, 1e6 - 3.0j, 12345.678 + 0.5j]
+    rng = np.random.default_rng(20261018)
+    zs += (rng.uniform(0.25, 1e3, 2000) + 1j * rng.uniform(-1e3, 1e3, 2000)).tolist()
+    zs += (rng.uniform(0.25, 5.0, 2000) + 1j * rng.uniform(-5.0, 5.0, 2000)).tolist()
+    _assert_margins_bitwise(zs)
+    _assert_margins_bitwise(np.reshape(zs[:24], (2, 3, 4)))
+    assert chandee_margin(0.25 - 50.0j) == _scalar_margin(0.25 - 50.0j)
+    assert isinstance(chandee_margin(2.0 + 3.0j), float)
+
+
+def test_chandee_margin_array_bitwise_on_both_quotient_branches():
+    # |Re w| == |Im w| for the shift steps (5+5i), w*w (20+20i) and 0.5/w;
+    # a real w*w (Im 0) and an imaginary one (Re 0) each take one branch
+    zs = [5.0 + 5.0j, 5.0 - 5.0j, 1.0 + 1.0j, 20.0 + 20.0j, 8.0 - 8.0j, 0.25 + 0.25j,
+          0.5 + 9.0j, 9.0 + 0.5j, 15.0 + 0.0j, 0.25 + 12.0j, 12.0 + 12.0j]
+    assert any(abs(z.real) >= abs(z.imag) for z in zs)
+    assert any(abs(z.real) < abs(z.imag) for z in zs)
+    _assert_margins_bitwise(zs)
+
+
+@pytest.mark.parametrize(
+    "bad", [0.2499999, -1.0 + 3.0j, math.nan, complex(1.0, math.nan), math.inf,
+            complex(1.0, math.inf), complex(1.0, -math.inf)],
+)
+def test_chandee_margin_domain(bad):
+    with pytest.raises(DomainError):
+        chandee_margin(bad)
+    with pytest.raises(DomainError):
+        chandee_margin(np.array([2.0 + 1.0j, bad, 3.0], dtype=np.complex128))
+
+
 def test_domain_rejections():
     with pytest.raises(DomainError):
         trivial_zero_tail(1.0)
