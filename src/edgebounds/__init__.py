@@ -16,7 +16,6 @@ from .audits import (
     extremum_h,
     extremum_logratio,
     identity_residual_techlem1,
-    reB_window,
     run_audit,
     verify_chandee_grid,
     verify_p2_positivity,
@@ -28,7 +27,6 @@ from .bounds import (
     BoundReport,
     constants,
     littlewood_reference,
-    lower_bound_reciprocal,
     t_aspect_bounds,
     upper_bound,
 )
@@ -43,7 +41,6 @@ from .dirichlet import (
 from .errors import DomainError, EdgeboundsError, ResourceBudgetError
 from .lfunc import (
     LFunctionInstance,
-    SatakeLocal,
     analytic_conductor,
     dirichlet_instance,
     hecke_instance,
@@ -91,7 +88,6 @@ __all__ = [
     "LFunctionInstance",
     "PrimeTable",
     "ResourceBudgetError",
-    "SatakeLocal",
     "SeriesValue",
     "SurveyRecord",
     "WeightedSumResult",
@@ -118,11 +114,9 @@ __all__ = [
     "l1_value",
     "l1_value_series",
     "littlewood_reference",
-    "lower_bound_reciprocal",
     "mangoldt",
     "prime_power_grid",
     "psi_total",
-    "reB_window",
     "run_audit",
     "smoothed_sum_linear",
     "smoothed_sum_log",

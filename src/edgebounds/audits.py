@@ -91,7 +91,8 @@ def _margin_verdict(margin: float, tol: float) -> str:
     return "PASS" if margin >= -tol else "FAIL"
 
 
-# cells of one float64 grid array in trig, p2, hmax and logratio (80 MB each)
+# cells of one grid: a float64 array in trig, p2, hmax and logratio (80 MB
+# each), the points chandee walks in blocks, the lattice techlem2 loops over
 MAX_GRID_CELLS = 10 ** 7
 
 
@@ -206,6 +207,7 @@ def verify_techlem2_grid(
     """ratio |(x^-k - 1)/(k(k+1))| log3/(2 log x) <= 1 on a fixed lattice."""
     if re_steps < 1 or im_steps < 1 or x_steps < 1:
         raise DomainError("need at least one grid step per axis")
+    _check_grid(re_steps * im_steps, x_steps)
     res = np.linspace(0.0, 10.0, re_steps)
     ims = np.linspace(-10.0, 10.0, im_steps)
     xs = np.geomspace(1.01, 1e6, x_steps)
@@ -251,6 +253,7 @@ def verify_chandee_grid(
     """
     if re_steps < 1 or im_steps < 1:
         raise DomainError("need at least one grid step per axis")
+    _check_grid(re_steps, im_steps)
     res = np.linspace(0.25, 20.0, re_steps)
     ims = np.linspace(-50.0, 50.0, im_steps)
     rows = max(1, _CHANDEE_BLOCK // im_steps)
@@ -510,9 +513,9 @@ def verify_b_constant() -> AuditRecord:
 def _window_weights(tbl: PrimeTable, x: float) -> tuple:
     """Character-free factors of both window prime sums, built once per (tbl, x).
 
-    One flat grid over every p^k <= x, exponent by exponent: (p, p^k, k,
-    1 - k log p / log x, k p^k, log p, 1/p^k - 1/x), with k an int array
-    aligned with p. Every instance windowed at the same x shares it.
+    One flat grid over every p^k <= x, exponent by exponent: (p^k,
+    1 - k log p / log x, k p^k, log p, 1/p^k - 1/x). Every instance
+    windowed at the same x shares it.
     """
     xf = float(x)
     logx = math.log(xf)
@@ -521,7 +524,7 @@ def _window_weights(tbl: PrimeTable, x: float) -> tuple:
     k = np.repeat(np.array(ks, dtype=np.int64), [p.size for p in ps])
     lp = np.log(p_arr.astype(np.float64))
     pk = pk_arr.astype(np.float64)
-    return p_arr, pk_arr, k, 1.0 - k * lp / logx, k * pk, lp, 1.0 / pk - 1.0 / xf
+    return pk_arr, 1.0 - k * lp / logx, k * pk, lp, 1.0 / pk - 1.0 / xf
 
 
 def _instance_prime_sums(
@@ -536,14 +539,10 @@ def _instance_prime_sums(
     is one exactly rounded fsum (_kernel.exact_sum), so it does not depend
     on the term order.
     """
-    if inst.coeff_oracle is None:
-        raise DomainError("instance has no coefficient oracle")
-    if x > inst.oracle_support:
-        raise DomainError("oracle support ends below x")
     if weights is None:
         weights = _window_weights(tbl, x)
-    p_arr, pk_arr, k, log_num, log_den, lp, lin_w = weights
-    re_a = inst.coefficients(p_arr, pk_arr, k).real
+    pk_arr, log_num, log_den, lp, lin_w = weights
+    re_a = inst.coefficients(pk_arr).real
     # keep this operation order: every window document depends on each bit
     return exact_sum(re_a * log_num / log_den), exact_sum(re_a * lp * lin_w)
 
@@ -563,9 +562,13 @@ def _check_window_x(x: float) -> float:
     return xf
 
 
-def _windows(
+def explicit_formula_window(
     inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
-) -> Tuple[Interval, Interval]:
+) -> Interval:
+    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
+
+    weights may carry _window_weights(tbl, x) shared across instances.
+    """
     xf = _check_window_x(x)
     d = inst.d
     l = inst.zero_param_count()
@@ -599,31 +602,15 @@ def _windows(
         rhs_hi / den_lo,
         rhs_hi / den_hi,
     )
+    # the interval [b_lo, b_hi] holds the zero-sum magnitude |Re B|
     b_lo = max(0.0, min(quots))
     b_hi = max(0.0, max(quots))
-    b_iv = Interval(b_lo, b_hi)
 
     c1_lo = 1.0 / logx - 2.0 / (sqx * logx * logx)
     c1_hi = 1.0 / logx + 2.0 / (sqx * logx * logx)
     err = 2.0 * d / (xf * logx * logx)
     mid = s_log + gblock / (2.0 * logx)
-    log_iv = Interval(mid - c1_hi * b_hi - err, mid - c1_lo * b_lo + err)
-    return b_iv, log_iv
-
-
-def reB_window(inst: LFunctionInstance, tbl: PrimeTable, x: float) -> Interval:
-    """Interval for the zero-sum magnitude |Re B| from the finite display."""
-    return _windows(inst, tbl, x)[0]
-
-
-def explicit_formula_window(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
-) -> Interval:
-    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
-
-    weights may carry _window_weights(tbl, x) shared across instances.
-    """
-    return _windows(inst, tbl, x, weights)[1]
+    return Interval(mid - c1_hi * b_hi - err, mid - c1_lo * b_lo + err)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ __all__ = [
     "BoundReport",
     "constants",
     "upper_bound",
-    "lower_bound_reciprocal",
     "t_aspect_bounds",
     "littlewood_reference",
 ]
@@ -158,9 +157,6 @@ def upper_bound(d: int, logC: float) -> BoundReport:
         terms=terms,
         littlewood={"upper": lw_up, "lower": lw_lo},
     )
-
-
-lower_bound_reciprocal = upper_bound  # one evaluation yields both envelopes
 
 
 def t_aspect_bounds(inst: LFunctionInstance, t: float) -> BoundReport:

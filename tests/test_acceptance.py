@@ -26,7 +26,6 @@ from edgebounds import (
     l1_value,
     l1_value_series,
     littlewood_reference,
-    lower_bound_reciprocal,
     run_audit,
     smoothed_sum_linear,
     smoothed_sum_log,

@@ -9,6 +9,7 @@ import pytest
 from edgebounds import (
     DomainError,
     LFunctionInstance,
+    ResourceBudgetError,
     b_constant,
     build_table,
     chandee_margin,
@@ -19,7 +20,6 @@ from edgebounds import (
     extremum_logratio,
     hecke_instance,
     identity_residual_techlem1,
-    reB_window,
     run_audit,
     verify_chandee_grid,
     verify_p2_positivity,
@@ -196,6 +196,27 @@ def test_empty_grids_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_chandee_grid(10 ** 5, 10 ** 5),
+        lambda: verify_chandee_grid(10 ** 7 + 1, 1),
+        lambda: verify_techlem2_grid(1000, 1000, 11),
+        lambda: verify_techlem2_grid(1, 1, 10 ** 7 + 1),
+    ],
+)
+def test_chandee_and_techlem2_grids_have_a_cell_budget(monkeypatch, call):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built past its cell budget")
+
+    for name in ("chandee_margin", "techlem2_bound_ratio"):
+        monkeypatch.setattr(audits, name, no_grid)
+    monkeypatch.setattr(audits.np, "linspace", no_grid)
+    monkeypatch.setattr(audits.np, "geomspace", no_grid)
+    with pytest.raises(ResourceBudgetError, match="cell budget"):
+        call()
+
+
 def test_b_constant_audit():
     (rec,) = run_audit("bconst")
     assert rec.verdict == "PASS"
@@ -293,21 +314,6 @@ def test_window_truth_is_log_abs_l1(table6):
     assert iv.contains(math.log(math.pi / 4.0))
 
 
-def test_reB_window_width_shrinks(table6):
-    chars = {c.index: c for c in enumerate_characters(8)}
-    inst = dirichlet_instance(chars[1])
-    widths = []
-    for x in (1e3, 1e4, 1e5, 1e6):
-        iv = reB_window(inst, table6, x)
-        widths.append(iv.width())
-    assert widths == pytest.approx(
-        [0.015319580998237575, 0.00468132964163577, 0.0014847386122077422,
-         0.0004708426207254146],
-        rel=1e-10,
-    )
-    assert all(a > b for a, b in zip(widths, widths[1:]))
-
-
 def test_window_requires_x_floor(table6):
     chars = {c.index: c for c in enumerate_characters(4)}
     inst = dirichlet_instance(chars[1])
@@ -340,35 +346,19 @@ def test_window_prime_sums_equal_per_prime_reference(table6, q):
             want = _per_prime_prime_sums(inst, table6, x)
             assert _instance_prime_sums(inst, table6, x) == want
             assert _instance_prime_sums(inst, table6, x, weights) == want
-            # the same values through a plain callable oracle (no residue table)
-            plain = LFunctionInstance(
-                d=1,
-                q=q,
-                local_params=inst.local_params,
-                coeff_oracle=lambda p, k, chi=chi: chi.value(pow(p, k, q)),
-                label="plain",
-            )
-            assert _instance_prime_sums(plain, table6, x, weights) == want
 
 
 def test_window_rejects_bad_or_missing_coefficients(table4):
-    bad = LFunctionInstance(
-        d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: 5.0, label="bad"
-    )
+    # a table beyond |a| <= d never becomes an instance to window
     with pytest.raises(DomainError):
-        explicit_formula_window(bad, table4, 1000.0)
-    bad_table = LFunctionInstance(
-        d=1,
-        q=3,
-        local_params=(0.0,),
-        coeff_oracle=lambda p, k: 1.0,
-        label="bad-table",
-        coeff_table=np.full(3, 5.0 + 0j),
-    )
-    with pytest.raises(DomainError):
-        explicit_formula_window(bad_table, table4, 1000.0)
-    with pytest.raises(DomainError):
+        LFunctionInstance(
+            d=1, q=3, local_params=(0.0,), label="bad", coeff_table=np.full(3, 5.0 + 0j)
+        )
+    with pytest.raises(DomainError, match="no coefficient table"):
         explicit_formula_window(hecke_instance(12, 1), table4, 1000.0)
+    shape_only = LFunctionInstance(d=1, q=3, local_params=(1.0,), label="shape-only")
+    with pytest.raises(DomainError, match="no coefficient table"):
+        explicit_formula_window(shape_only, table4, 1000.0)
 
 
 def test_window_audit_sizes_its_own_table_for_fractional_x(table6):

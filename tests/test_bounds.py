@@ -10,7 +10,6 @@ from edgebounds import (
     LFunctionInstance,
     constants,
     littlewood_reference,
-    lower_bound_reciprocal,
     t_aspect_bounds,
     upper_bound,
 )
@@ -70,7 +69,7 @@ def test_report_frozen_values_at_threshold():
     assert t["lower"]["j2_term"] == pytest.approx(1.4955869258934213, rel=1e-13)
     assert r.littlewood["upper"] == pytest.approx(11.169084529518422, rel=1e-13)
     assert r.littlewood["lower"] == pytest.approx(6.789989188392778, rel=1e-13)
-    assert lower_bound_reciprocal(1, 23.0) == r
+    assert upper_bound(1, 23.0) == r
 
 
 def test_littlewood_reference_frozen():
@@ -125,14 +124,14 @@ def test_upper_envelope_increasing_all_degrees():
 def test_lower_envelope_increasing_for_degree_two_and_up():
     for d in range(2, 7):
         grid = np.linspace(23.0 * d, 23.0 * d + 400.0, 800)
-        vals = [lower_bound_reciprocal(d, float(c)).lower_reciprocal for c in grid]
+        vals = [upper_bound(d, float(c)).lower_reciprocal for c in grid]
         assert all(a < b for a, b in zip(vals, vals[1:])), d
 
 
 def test_lower_envelope_degree_one_dips_then_recovers():
     # the J2 term decays just above the threshold, so the d=1 lower envelope
     # is NOT monotone there: it dips below its threshold value before rising
-    f = lambda c: lower_bound_reciprocal(1, c).lower_reciprocal
+    f = lambda c: upper_bound(1, c).lower_reciprocal
     assert f(23.0) == pytest.approx(10.33519243755692, rel=1e-13)
     assert f(24.23256) == pytest.approx(10.334042569973237, rel=1e-12)
     assert f(24.23256) < f(23.0)

@@ -1,17 +1,13 @@
-"""Instance model: local parameters, conductors, coefficient oracles."""
+"""Instance model: local parameters, conductors, the coefficient table."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgebounds import (
     DomainError,
     LFunctionInstance,
-    SatakeLocal,
     analytic_conductor,
     dirichlet_instance,
     enumerate_characters,
@@ -19,35 +15,6 @@ from edgebounds import (
     t_aspect_conductor,
 )
 from edgebounds.audits import _window_weights
-
-
-def test_satake_singleton_coefficients():
-    loc = SatakeLocal(prime=2, alphas=(1.0,))
-    assert all(loc.coefficient(k) == pytest.approx(1.0) for k in range(1, 8))
-    loc = SatakeLocal(prime=3, alphas=(-1.0,))
-    assert loc.coefficient(2) == pytest.approx(1.0)
-    assert loc.coefficient(3) == pytest.approx(-1.0)
-
-
-def test_satake_conjugate_pair_is_cosine():
-    theta = 1.234
-    loc = SatakeLocal(prime=5, alphas=(cmath.exp(1j * theta), cmath.exp(-1j * theta)))
-    for k in range(1, 10):
-        got = loc.coefficient(k)
-        assert got == pytest.approx(2.0 * math.cos(k * theta), abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4), st.integers(1, 12))
-def test_satake_unit_circle_coefficients_bounded(thetas, k):
-    alphas = tuple(cmath.exp(1j * t) for t in thetas)
-    loc = SatakeLocal(prime=7, alphas=alphas)
-    assert abs(loc.coefficient(k)) <= len(alphas) + 1e-9
-
-
-def test_satake_rejects_large_alpha():
-    with pytest.raises(DomainError):
-        SatakeLocal(prime=2, alphas=(1.5,))
 
 
 def test_instance_validation():
@@ -123,53 +90,71 @@ def test_dirichlet_instance_oracle_matches_character_powers():
             got = inst.coefficient(p, int(k))
             assert got == pytest.approx(chi.value(p) ** int(k), abs=1e-12)
     assert inst.coefficient(2, 1) == 0.0  # ramified prime
-    assert abs(inst.coefficient(3, 50)) <= 1.0 + 1e-12  # oracle far beyond any table
+    assert abs(inst.coefficient(3, 50)) <= 1.0 + 1e-12  # p^k far beyond any prime table
 
 
 def test_coefficient_bound_enforced():
-    bad = LFunctionInstance(
-        d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: 5.0, label="bad"
+    for table in (np.full(3, 5.0 + 0j), np.array([1.0, math.nan, 0.0], dtype=np.complex128)):
+        with pytest.raises(DomainError, match=r"\|a\| <= d"):
+            LFunctionInstance(d=1, q=3, local_params=(0.0,), label="bad", coeff_table=table)
+    # the bound is d, so a degree-2 table may reach 2 but not beyond
+    ok = LFunctionInstance(
+        d=2, q=2, local_params=(0.0, 1.0), coeff_table=np.array([2.0 + 0j, -2.0 + 0j])
     )
+    assert ok.coefficients(np.array([4, 9, 25])).tolist() == [2, -2, -2]
+    assert ok.coefficient(3, 2) == -2.0
     with pytest.raises(DomainError):
-        bad.coefficient(2, 1)
-    with pytest.raises(DomainError):
-        bad.coefficients(np.array([2, 3]), np.array([4, 9]), 2)
-    short = LFunctionInstance(
-        d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: 1.0, oracle_support=100.0
-    )
-    assert short.coefficients(np.array([2, 7]), np.array([4, 49]), 2).tolist() == [1, 1]
-    with pytest.raises(DomainError):
-        short.coefficients(np.array([7, 11]), np.array([49, 121]), 2)
+        LFunctionInstance(
+            d=2, q=2, local_params=(0.0, 1.0), coeff_table=np.array([2.0 + 0j, 2.5 + 0j])
+        )
 
 
-def test_coefficient_bound_names_the_prime_power_on_an_exponent_array(table4):
-    p_arr, pk_arr, k = _window_weights(table4, 1000.0)[:3]
-    assert k.dtype == np.int64 and k.shape == p_arr.shape
-    bad = LFunctionInstance(
-        d=1,
-        q=1,
-        local_params=(0.0,),
-        coeff_oracle=lambda p, k: 5.0 if (p, k) == (3, 2) else 1.0,
-        label="bad-at-9",
-    )
-    with pytest.raises(DomainError, match=r"at \(3, 2\)"):
-        bad.coefficients(p_arr, pk_arr, k)
-    # 4 = 2^2 is the first power with residue 0 mod 4; every p^1 misses it
-    bad_table = LFunctionInstance(
-        d=1,
-        q=4,
-        local_params=(0.0,),
-        coeff_oracle=lambda p, k: 1.0,
-        label="bad-at-4",
-        coeff_table=np.array([5.0, 1.0, 1.0, 1.0], dtype=np.complex128),
-    )
-    with pytest.raises(DomainError, match=r"at \(2, 2\)"):
-        bad_table.coefficients(p_arr, pk_arr, k)
-    # an int k and the aligned array agree
-    ones = LFunctionInstance(d=1, q=1, local_params=(0.0,), coeff_oracle=lambda p, k: k - 1)
-    sel = k == 2
-    assert ones.coefficients(p_arr[sel], pk_arr[sel], 2).tolist() == [1] * int(sel.sum())
-    assert ones.coefficients(p_arr[sel], pk_arr[sel], k[sel]).tolist() == [1] * int(sel.sum())
+def test_coefficient_bound_names_the_residue_at_construction():
+    with pytest.raises(DomainError, match=r"at residue 2 mod 4"):
+        LFunctionInstance(
+            d=1,
+            q=4,
+            local_params=(0.0,),
+            label="bad-at-2",
+            coeff_table=np.array([1.0, 1.0, 5.0, 1.0j], dtype=np.complex128),
+        )
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.ones(3, dtype=np.complex128),  # length q - 1
+        np.ones(5, dtype=np.complex128),  # length q + 1
+        np.ones((2, 4), dtype=np.complex128),  # 2-D
+        np.ones((4, 1), dtype=np.complex128),  # 2-D, q entries
+        np.ones(4, dtype=np.float64),  # real
+    ],
+)
+def test_coefficient_table_shape_and_dtype_rejected(table):
+    with pytest.raises(DomainError, match="1-D complex array of length q = 4"):
+        LFunctionInstance(d=1, q=4, local_params=(0.0,), coeff_table=table)
+
+
+def test_coefficient_table_is_stored_read_only():
+    given = np.array([0.0, 1.0, -1.0j, 1.0j], dtype=np.complex128)
+    inst = LFunctionInstance(d=1, q=4, local_params=(0.0,), coeff_table=given)
+    assert not inst.coeff_table.flags.writeable
+    with pytest.raises(ValueError):
+        inst.coeff_table[1] = 5.0
+    # the caller's array is not frozen, and writing to it does not reach the instance
+    given[1] = 5.0
+    assert inst.coeff_table[1] == 1.0
+    assert inst.coefficient(5, 3) == 1.0
+
+
+def test_shape_only_instance_has_no_coefficients(table4):
+    inst = hecke_instance(12, 1)
+    assert inst.coeff_table is None and inst.to_json_dict()["oracle"] == "none"
+    pk_arr = _window_weights(table4, 1000.0)[0]
+    with pytest.raises(DomainError, match="no coefficient table"):
+        inst.coefficients(pk_arr)
+    with pytest.raises(DomainError, match="no coefficient table"):
+        inst.coefficient(2, 1)
 
 
 def test_instance_json_shape():
