@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._kernel import exact_sum
 from .bounds import upper_bound
 from .errors import DomainError
 from .lfunc import analytic_conductor, dirichlet_instance
@@ -300,6 +301,22 @@ def l1_value(chi: DirichletCharacter) -> complex:
     return complex(-re / q, -im / q)
 
 
+def _l1_values(chars: List[DirichletCharacter]) -> List[complex]:
+    """l1_value of each non-principal chi in chars, all mod one q, bit for bit.
+
+    The values chi(a), a = 1..q-1, are stacked into one (k, q - 1) matrix,
+    and each part of -(1/q) sum chi(a) psi(a/q) is one row-wise exact_sum,
+    which returns math.fsum's bits. Each value is built from its two
+    floats, so no complex arithmetic can touch a signed zero.
+    """
+    q = chars[0].modulus
+    psi = _psi_row(q)
+    values = np.array([chi._values[1:q] for chi in chars])
+    re = exact_sum(values.real * psi).tolist()
+    im = exact_sum(values.imag * psi).tolist()
+    return [complex(-r / q, -i / q) for r, i in zip(re, im)]
+
+
 def _psi_asymptotic(w: float) -> float:
     # plain Stirling tail, adequate for w >= 1000 at the 1e-8 budget
     iw = 1.0 / w
@@ -327,14 +344,18 @@ def _harmonic_rows(q: int, blocks: int) -> np.ndarray:
     regrouping) without writing the running prefix that accumulate would.
     """
     rows = max(1, _HARMONIC_BLOCK // q)
+    base = np.arange(1, rows * q + 1, dtype=np.float64)
+    buf = np.empty_like(base)
     acc = np.zeros(q, dtype=np.float64)
     for lo in range(0, blocks, rows):
         hi = min(blocks, lo + rows)
-        block = np.arange(lo * q + 1, hi * q + 1, dtype=np.float64)
+        size = (hi - lo) * q
+        # n = lo*q + 1 .. hi*q, exact: every n is an integer below 2^53
+        block = np.add(base[:size], lo * q, out=buf[:size])
         np.divide(1.0, block, out=block)
         block = block.reshape(hi - lo, q)
         block[0] += acc
-        acc = np.add.reduce(block, axis=0)
+        np.add.reduce(block, axis=0, out=acc)
     # column j holds n = j + 1 mod q
     return _frozen(np.roll(acc, 1))
 
@@ -424,16 +445,17 @@ def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
 
     A primitive chi mod q has conductor q, so its analytic conductor and
     envelope depend only on q and the parity: each is computed once per
-    (q, parity).
+    (q, parity). The L(1, chi) of one q come from one matrix (_l1_values).
     """
     if q_max < 3:
         raise DomainError("survey needs q_max >= 3")
     records: List[SurveyRecord] = []
     for q in range(3, q_max + 1):
+        chars = [c for c in enumerate_characters(q, primitive_only=True) if not c.is_principal]
+        if not chars:
+            continue
         envelopes: Dict[int, Tuple[float, Optional[float], bool]] = {}
-        for chi in enumerate_characters(q, primitive_only=True):
-            if chi.is_principal:
-                continue
+        for chi, val in zip(chars, _l1_values(chars)):
             if chi.parity not in envelopes:
                 c_chi = analytic_conductor(dirichlet_instance(chi))
                 if math.log(c_chi) > 1.0:
@@ -442,7 +464,6 @@ def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
                 else:
                     envelopes[chi.parity] = (c_chi, None, False)
             c_chi, bu, bv = envelopes[chi.parity]
-            val = l1_value(chi)
             abs_l1 = abs(val)
             ratio = None if bu is None else abs_l1 / bu
             records.append(

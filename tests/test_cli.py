@@ -315,6 +315,26 @@ def test_window_documents_pinned(argv, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["dirichlet", "survey", "--qmax", "200"],
+            "2e44a9c41f6200867e0e4471de9afe46fed4d09c9295c7213ff9883c7d2e6020",
+        ),
+        (
+            ["dirichlet", "survey", "--qmax", "60", "--format", "csv"],
+            "00e893c83b159c7c3b4ba9db294ce77d806b445378d6863477caae1abbc71dea",
+        ),
+    ],
+)
+def test_survey_documents_pinned(argv, digest):
+    # frozen bit for bit: the L(1) kernel and the JSON writer may change, the bytes may not
+    code, text, err = cap(argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_parser_built_once_per_process():
     cli._build_parser.cache_clear()
     assert cap(["constants", "--d", "1"])[0] == 0

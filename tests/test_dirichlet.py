@@ -257,6 +257,22 @@ def test_survey_equals_per_character_reference():
     assert got == [repr(r.to_json_dict()) for r in _survey_per_character(60)]
 
 
+def test_survey_values_equal_l1_value_bit_for_bit():
+    # float.hex, not ==: == cannot see a signed zero flip
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    got = {(r.q, r.char_index): bits(r.L1) for r in survey(200)}
+    want = {
+        (q, chi.index): bits(l1_value(chi))
+        for q in range(3, 201)
+        for chi in enumerate_characters(q, primitive_only=True)
+        if not chi.is_principal
+    }
+    assert len(got) == 7516
+    assert got == want
+
+
 def test_survey_record_json_shape():
     rec = survey(5)[-1]
     doc = rec.to_json_dict()
