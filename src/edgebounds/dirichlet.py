@@ -7,9 +7,11 @@ Values are taken as exact integer phases over a common root of unity, so
 enumeration order, conductors, and parities are platform-independent.
 
 L(1, chi) is evaluated two independent ways: a closed finite sum over
-digamma values at rationals, and an Abel-truncated series with an exact
-asymptotic tail. The survey compares |L(1, chi)| against the conditional
-upper envelope and persists CSV/JSON side by side.
+digamma values at rationals, and, for primitive chi, the rapidly
+convergent series from the theta functional equation, with a proven tail
+bound and the root number from the Gauss sum. The survey compares
+|L(1, chi)| against the conditional upper envelope and persists CSV/JSON
+side by side.
 """
 
 import itertools
@@ -22,10 +24,11 @@ import numpy as np
 
 from ._kernel import exact_sum
 from .bounds import upper_bound
+from .constants import PI
 from .errors import DomainError
 from .lfunc import analytic_conductor, dirichlet_instance
 from .primes import factorize
-from .special import digamma_rational
+from .special import digamma_rational, exp1
 
 __all__ = [
     "DirichletCharacter",
@@ -245,26 +248,40 @@ def _characters(
     return out
 
 
+def _component_keys(
+    c: _Component, primitive_only: bool
+) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """(exponents, conductor, parity) of each character of one CRT component."""
+    out = []
+    for exps in itertools.product(*(range(o) for o in c.orders)):
+        cond = _component_conductor(c, exps)
+        if not primitive_only or cond == c.modulus:
+            out.append((exps, cond, _component_parity(c, exps)))
+    return out
+
+
 def enumerate_characters(
     q: int, primitive_only: bool = False
 ) -> List[DirichletCharacter]:
     """All phi(q) characters mod q in exponent-lexicographic order.
 
-    With primitive_only, the conductor is read off the exponent vector and
-    only the kept characters get a value table.
+    A character is the product of one character per CRT component: its
+    conductor is the product of theirs and its parity the sum mod 2, so it
+    is primitive exactly when every component is. The keys are the product
+    of the per-component lists, the later component varying fastest: the
+    same C order (last exponent fastest) as the product of all exponent
+    ranges. With primitive_only each list holds only its primitive
+    entries, so no imprimitive key is visited and only the kept characters
+    get a value table.
     """
     if q < 1:
         raise DomainError("modulus must be >= 1")
     g = _group(q)
-    keys: List[Tuple[int, ...]] = []
-    cond_parities: List[Tuple[int, int]] = []
-    # C order, last exponent fastest
-    for key in itertools.product(*(range(o) for o in g.orders)):
-        cond_parity = _conductor_parity(g, key)
-        if not primitive_only or cond_parity[0] == q:
-            keys.append(key)
-            cond_parities.append(cond_parity)
-    return _characters(g, keys, cond_parities)
+    chars: List[Tuple[Tuple[int, ...], int, int]] = [((), 1, 0)]
+    for c in g.components:
+        comp = _component_keys(c, primitive_only)
+        chars = [(k + e, cond * ce, par ^ pe) for k, cond, par in chars for e, ce, pe in comp]
+    return _characters(g, [k for k, _c, _p in chars], [(c, p) for _k, c, p in chars])
 
 
 def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
@@ -317,72 +334,89 @@ def _l1_values(chars: List[DirichletCharacter]) -> List[complex]:
     return [complex(-r / q, -i / q) for r, i in zip(re, im)]
 
 
-def _psi_asymptotic(w: float) -> float:
-    # plain Stirling tail, adequate for w >= 1000 at the 1e-8 budget
-    iw = 1.0 / w
-    iw2 = iw * iw
-    return (
-        math.log(w)
-        - 0.5 * iw
-        - iw2 * (1.0 / 12.0 - iw2 * (1.0 / 120.0 - iw2 / 252.0))
-    )
+_THETA_TAIL = 2.0 ** -60  # bound on the terms l1_value_series drops
 
 
-_HARMONIC_BLOCK = 1 << 16  # terms 1/n held at once by _harmonic_rows
+def _theta_tail_bound(q: int, parity: int, n_terms: int) -> float:
+    """Bound on both tails n > n_terms of the theta series (l1_value_series)."""
+    m = n_terms + 1
+    # x_n grows by at least delta per step from n = m on: a geometric tail
+    decay = math.exp(-PI * m * m / q) / -math.expm1(-PI * (2 * m + 1) / q)
+    if parity:
+        return 2.0 * decay / m
+    return 2.0 * math.sqrt(q) * decay / (PI * m * m)
 
 
-@lru_cache(maxsize=8)
-def _harmonic_rows(q: int, blocks: int) -> np.ndarray:
-    """Sums of 1/n over n <= blocks*q in each residue class mod q.
+@lru_cache(maxsize=64)
+def _theta_weights(
+    q: int, parity: int, n_terms: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n mod q, g_n = G_a(x_n)/n and h_n = sqrt(pi/q) H_a(x_n) for n = 1..N, frozen.
 
-    Entry r sums n = r mod q in increasing n, as np.bincount would over
-    the whole range. The terms are made a block of rows at a time; the
-    running row is added to the block's first row and the block is folded
-    by np.add.reduce over axis 0. On a C-contiguous (rows, q) block that
-    reduce walks the columns innermost and adds the rows one after
-    another, so every column is still summed in increasing n (no pairwise
-    regrouping) without writing the running prefix that accumulate would.
+    G_a and H_a are those of l1_value_series, with a the parity.
+    N defaults to the least count whose tail bound is at most 2^-60.
     """
-    rows = max(1, _HARMONIC_BLOCK // q)
-    base = np.arange(1, rows * q + 1, dtype=np.float64)
-    buf = np.empty_like(base)
-    acc = np.zeros(q, dtype=np.float64)
-    for lo in range(0, blocks, rows):
-        hi = min(blocks, lo + rows)
-        size = (hi - lo) * q
-        # n = lo*q + 1 .. hi*q, exact: every n is an integer below 2^53
-        block = np.add(base[:size], lo * q, out=buf[:size])
-        np.divide(1.0, block, out=block)
-        block = block.reshape(hi - lo, q)
-        block[0] += acc
-        np.add.reduce(block, axis=0, out=acc)
-    # column j holds n = j + 1 mod q
-    return _frozen(np.roll(acc, 1))
+    if n_terms is None:
+        n_terms = 1
+        while _theta_tail_bound(q, parity, n_terms) > _THETA_TAIL:
+            n_terms += 1
+    n = np.arange(1, n_terms + 1, dtype=np.int64)
+    x = [PI * k * k / q for k in n.tolist()]
+    if parity:
+        g = [math.exp(-t) for t in x]
+        h = [PI * math.erfc(math.sqrt(t)) for t in x]
+    else:
+        g = [math.erfc(math.sqrt(t)) for t in x]
+        h = [exp1(t) for t in x]
+    return _frozen(n % q), _frozen(np.array(g) / n), _frozen(np.array(h) / math.sqrt(q))
 
 
-@lru_cache(maxsize=8)
-def _tail_row(q: int, blocks: int) -> np.ndarray:
-    """psi(blocks + a/q) for a = 1..q-1, by the Stirling tail."""
-    return _frozen(np.array([_psi_asymptotic(blocks + a / q) for a in range(1, q)]))
+@lru_cache(maxsize=64)
+def _phases(q: int) -> np.ndarray:
+    """e(m/q) = exp(2 pi i m/q) for m < q, frozen."""
+    return _frozen(np.exp(2j * np.pi * np.arange(q) / q))
+
+
+def _root_number(chi: DirichletCharacter) -> complex:
+    """W = tau(chi)/(i^a sqrt q), with the Gauss sum tau(chi) = sum chi(m) e(m/q)."""
+    tau = complex(np.dot(chi._values, _phases(chi.modulus)))
+    return tau / ((1j if chi.parity else 1.0) * math.sqrt(chi.modulus))
+
+
+def _theta_l1(
+    chi: DirichletCharacter, weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> complex:
+    """sum chi(n) g_n + W conj(sum chi(n) h_n) over the n of weights."""
+    idx, g, h = weights
+    v = chi._values[idx]
+    return complex(np.dot(v, g)) + _root_number(chi) * complex(np.dot(v, h)).conjugate()
 
 
 def l1_value_series(chi: DirichletCharacter) -> complex:
-    """Independent oracle: truncated series plus exact digamma tail.
+    """Independent oracle: the series from the theta functional equation.
 
-    Sums chi(n)/n for n <= N = q*ceil(max(1e6, q^2)/q); the remainder is
-    exactly -(1/q) sum_a chi(a) psi(N/q + a/q) because sum_a chi(a) = 0.
+    For chi primitive mod q with parity a, x_n = pi n^2/q and root number
+    W = tau(chi)/(i^a sqrt q), tau(chi) = sum_m chi(m) e(m/q) (Davenport,
+    Multiplicative Number Theory, ch. 9):
+
+        L(1, chi) = sum chi(n)/n G_a(x_n)
+                    + W sqrt(pi/q) sum conj(chi(n)) H_a(x_n),
+
+    G_1 = e^-x, H_1 = sqrt(pi) erfc(sqrt x), G_0 = erfc(sqrt x) and
+    H_0 = E1(x)/sqrt(pi). The sums stop at the least N whose tail bound is
+    at most 2^-60. With |chi| <= 1, |W| = 1, erfc(sqrt x) <= e^-x/sqrt(pi x)
+    and E1(x) <= e^-x/x, each of the two tails n > N is at most
+    sum_{n>N} f(n) e^-x_n, with f(n) = 1/n for a = 1 and
+    f(n) = sqrt(q)/(pi n^2) for a = 0. Past m = N + 1, x_n grows by at least
+    delta = pi (2m + 1)/q per step and f decreases, so both tails together
+    are at most 2 f(m) e^-x_m/(1 - e^-delta). Only primitive, non-principal
+    chi have this functional equation; any other raises DomainError.
     """
     if chi.is_principal:
         raise DomainError("principal character excluded (pole)")
-    q = chi.modulus
-    blocks = -(-max(10 ** 6, q * q) // q)
-    rows = _harmonic_rows(q, blocks)
-    vt = chi._values
-    partial = complex(np.dot(vt, rows))
-    tail = _tail_row(q, blocks)
-    tail_re = math.fsum((vt[1:q].real * tail).tolist())
-    tail_im = math.fsum((vt[1:q].imag * tail).tolist())
-    return partial - complex(tail_re / q, tail_im / q)
+    if not chi.primitive:
+        raise DomainError("character mod %d is imprimitive" % (chi.modulus,))
+    return _theta_l1(chi, _theta_weights(chi.modulus, chi.parity))
 
 
 @dataclass(frozen=True)

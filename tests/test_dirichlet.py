@@ -3,8 +3,8 @@
 import cmath
 import json
 import math
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,36 +150,6 @@ def test_shared_value_matrix_is_read_only():
     assert chi.value(1) == before != 0
 
 
-def _harmonic_rows_bincount(q, blocks):
-    n = np.arange(1, blocks * q + 1, dtype=np.float64)
-    res = np.arange(1, blocks * q + 1, dtype=np.int64) % q
-    return np.bincount(res, weights=1.0 / n, minlength=q)
-
-
-def _series_blocks(q):
-    return -(-max(10 ** 6, q * q) // q)
-
-
-def test_harmonic_rows_equal_bincount():
-    # q = 1013 has q^2 > 1e6, so N = q^2
-    for q in (3, 7, 200, 1013):
-        blocks = _series_blocks(q)
-        got = dirichlet._harmonic_rows.__wrapped__(q, blocks)
-        assert got.tobytes() == _harmonic_rows_bincount(q, blocks).tobytes(), q
-
-
-def test_harmonic_rows_working_memory_is_bounded():
-    # one 1e6-term pass used to peak near 23 MB; one float64 array of all
-    # 1e6 terms alone would take 7.6 MB
-    tracemalloc.start()
-    try:
-        dirichlet._harmonic_rows.__wrapped__(3, 333334)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
-
-
 def _l1_value_per_term(chi):
     q = chi.modulus
     psi = [digamma_rational(a, q).value for a in range(1, q)]
@@ -189,28 +159,100 @@ def _l1_value_per_term(chi):
     return complex(-re / q, -im / q)
 
 
-def _l1_value_series_per_term(chi, rows):
-    q = chi.modulus
-    blocks = _series_blocks(q)
-    vt = chi._values
-    partial = complex(np.dot(vt, rows))
-    tail = [dirichlet._psi_asymptotic(blocks + a / q) for a in range(1, q)]
-    tail_re = math.fsum(vt[a].real * tail[a - 1] for a in range(1, q))
-    tail_im = math.fsum(vt[a].imag * tail[a - 1] for a in range(1, q))
-    return partial - complex(tail_re / q, tail_im / q)
+def _q1013_characters():
+    return [dirichlet.primitive_character(1013, i) for i in (1, 2, 506, 1011)]
 
 
 def test_l1_oracles_equal_per_term_sums():
     cases = [(q, enumerate_characters(q, primitive_only=True)) for q in range(3, 61)]
-    cases.append((1013, [enumerate_characters(1013)[i] for i in (1, 2, 506, 1011)]))
+    cases.append((1013, _q1013_characters()))
     for q, chars in cases:
-        rows = _harmonic_rows_bincount(q, _series_blocks(q))
         for chi in chars:
             if chi.is_principal:
                 continue
             assert l1_value(chi) == _l1_value_per_term(chi), (q, chi.index)
-            got = l1_value_series(chi)
-            assert got == _l1_value_series_per_term(chi, rows), (q, chi.index)
+
+
+def _primitive(q):
+    return [c for c in enumerate_characters(q, primitive_only=True) if not c.is_principal]
+
+
+def test_l1_series_closed_forms():
+    (chi3,) = _primitive(3)
+    (chi4,) = _primitive(4)
+    chi5 = {c.index: c for c in _primitive(5)}[2]  # the quadratic character
+    assert abs(l1_value_series(chi3) - math.pi / (3.0 * math.sqrt(3.0))) <= 1e-14
+    assert abs(l1_value_series(chi4) - math.pi / 4.0) <= 1e-14
+    want = 2.0 * math.log((1.0 + math.sqrt(5.0)) / 2.0) / math.sqrt(5.0)
+    assert abs(l1_value_series(chi5) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("q, h", [(7, 1), (11, 1), (23, 3), (199, 9)])
+def test_l1_series_class_numbers(q, h):
+    # q = 3 mod 4 prime: h(-q) = sqrt(q)/pi L(1, (./q))
+    (legendre,) = [c for c in _primitive(q) if c.is_real()]
+    assert abs(math.sqrt(q) / math.pi * l1_value_series(legendre) - h) <= 1e-12
+
+
+def test_root_numbers_have_modulus_one():
+    worst = max(
+        abs(abs(dirichlet._root_number(chi)) - 1.0)
+        for q in range(3, 201)
+        for chi in _primitive(q)
+    )
+    assert worst <= 1e-13
+
+
+def test_l1_series_agrees_with_l1_value_to_1e13():
+    worst = max(
+        abs(l1_value(chi) - l1_value_series(chi)) for q in range(3, 201) for chi in _primitive(q)
+    )
+    assert worst <= 1e-13
+
+
+def test_l1_series_matches_mpmath_digamma_sum_at_q1013():
+    q = 1013
+    with mpmath.workdps(30):
+        psi = [mpmath.digamma(mpmath.mpf(a) / q) for a in range(1, q)]
+        for chi in _q1013_characters():
+            vt = chi.value_table()
+            want = -sum(
+                (mpmath.mpc(complex(vt[a])) * psi[a - 1] for a in range(1, q)), mpmath.mpc(0)
+            ) / q
+            assert abs(mpmath.mpc(l1_value_series(chi)) - want) <= 1e-14, chi.index
+
+
+@pytest.mark.parametrize("q", [3, 200, 4001])
+def test_theta_tail_bound_holds(q):
+    if q == 4001:  # a few characters of each parity, not all 4,000 tables
+        chars = [dirichlet.primitive_character(q, i) for i in (1, 2, 3, 4, 1999, 2000, 3998, 3999)]
+    else:
+        chars = _primitive(q)
+    for parity in sorted({c.parity for c in chars}):
+        idx, g, h = dirichlet._theta_weights(q, parity)
+        n_terms = idx.size
+        bound = dirichlet._theta_tail_bound(q, parity, n_terms)
+        assert bound <= 2.0 ** -60 < dirichlet._theta_tail_bound(q, parity, n_terms - 1)
+        _idx, g_far, h_far = dirichlet._theta_weights.__wrapped__(q, parity, n_terms + 200)
+        assert g_far[:n_terms].tobytes() == g.tobytes()
+        assert h_far[:n_terms].tobytes() == h.tobytes()
+        # |chi| <= 1 and |W| = 1: each dropped term is at most g_n + h_n
+        assert math.fsum(g_far[n_terms:]) + math.fsum(h_far[n_terms:]) <= bound
+        # what terms N + 1 .. N + 10 would add to L(1, chi)
+        extra = tuple(w[n_terms:n_terms + 10] for w in (_idx, g_far, h_far))
+        for chi in chars:
+            if chi.parity == parity:
+                assert abs(dirichlet._theta_l1(chi, extra)) <= bound, chi.index
+
+
+def test_l1_series_rejects_principal_and_imprimitive():
+    with pytest.raises(DomainError, match="principal"):
+        l1_value_series(enumerate_characters(5)[0])
+    imprimitive = [c for c in enumerate_characters(12) if not c.primitive and not c.is_principal]
+    assert imprimitive
+    for chi in imprimitive:
+        with pytest.raises(DomainError, match="imprimitive"):
+            l1_value_series(chi)
 
 
 def test_survey_frozen_rows():

@@ -224,6 +224,21 @@ def test_kappa_series_closed_frozen_values():
     assert kappa_series_closed(1.0) == pytest.approx(0.572131774774831, rel=1e-13)
 
 
+def test_exp1_matches_mpmath_on_log_grid():
+    # both sides of the series / continued-fraction switch at x = 1
+    xs = np.geomspace(1e-4, 60.0, 401).tolist() + [1.0, math.nextafter(1.0, 2.0)]
+    worst = max(
+        abs(mpmath.mpf(special.exp1(x)) - mpmath.e1(x)) / mpmath.e1(x) for x in xs
+    )
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_exp1_domain(bad):
+    with pytest.raises(DomainError):
+        special.exp1(bad)
+
+
 def test_trivial_zero_tail_frozen_values():
     frozen = {
         10.0: 0.00016716906159949148,
