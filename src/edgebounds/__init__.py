@@ -27,7 +27,6 @@ from .bounds import (
     BoundReport,
     constants,
     littlewood_reference,
-    t_aspect_bounds,
     upper_bound,
 )
 from .dirichlet import (
@@ -44,7 +43,6 @@ from .lfunc import (
     analytic_conductor,
     dirichlet_instance,
     hecke_instance,
-    t_aspect_conductor,
 )
 from .primes import (
     PrimeTable,
@@ -52,7 +50,6 @@ from .primes import (
     alternating_prime_power_sum,
     build_table,
     is_prime_power,
-    mangoldt,
     prime_power_grid,
     psi_total,
     smoothed_sum_linear,
@@ -114,15 +111,12 @@ __all__ = [
     "l1_value",
     "l1_value_series",
     "littlewood_reference",
-    "mangoldt",
     "prime_power_grid",
     "psi_total",
     "run_audit",
     "smoothed_sum_linear",
     "smoothed_sum_log",
     "survey",
-    "t_aspect_bounds",
-    "t_aspect_conductor",
     "techlem2_bound_ratio",
     "trivial_zero_tail",
     "upper_bound",

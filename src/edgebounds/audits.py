@@ -12,7 +12,6 @@ PASS when |residual| <= window. Every grid is a fixed lattice, so reruns
 are bit-identical.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -28,7 +27,7 @@ from .primes import (
     PrimeTable,
     WeightedSumResult,
     build_table,
-    factorize,
+    is_prime_power,
     prime_power_grid,
     smoothed_sum_linear,
     smoothed_sum_log,
@@ -37,6 +36,7 @@ from .primes import (
 from .special import (
     chandee_margin,
     digamma,
+    kappa_ramp,
     kappa_series_closed,
     kappa_series_direct,
     techlem2_bound_ratio,
@@ -159,7 +159,7 @@ def verify_p2_positivity(
     xf = float(x)
     if xf < 100.0:
         raise DomainError("need x >= 100, got %r" % (x,))
-    if xf == math.floor(xf) and len(factorize(int(xf))) == 1:
+    if xf == math.floor(xf) and is_prime_power(int(xf)):
         raise DomainError("x=%r is a prime power" % (x,))
     kk = int(math.floor(math.log2(xf)))
     while 2.0 ** (kk + 1) <= xf:
@@ -580,9 +580,7 @@ def explicit_formula_window(
 
     kap_sum = 0.0
     for kap in inst.nonzero_params():
-        series = _kappa_term(complex(kap))
-        ramp = ((cmath.exp(-kap * logx) - 1.0) / (kap * (kap + 1.0))).real
-        kap_sum += series + ramp
+        kap_sum += _kappa_term(complex(kap)) + kappa_ramp(kap, logx).real
 
     rhs0 = (
         0.5 * (1.0 - 1.0 / xf) * gblock
@@ -640,9 +638,7 @@ def a_terms_audit(
         raise DomainError("zero local parameter passed in nonzero list")
     if any(k.real < 0 for k in kaps):
         raise DomainError("local parameters need nonnegative real part")
-    xf = float(x)
-    if xf < 132.0:
-        raise DomainError("need x >= 132")
+    xf = _check_window_x(x)
     logx = math.log(xf)
     sqx = math.sqrt(xf)
     tx = trivial_zero_tail(xf).value
@@ -651,14 +647,7 @@ def a_terms_audit(
     a2 = (d - 2 * l) * LOG_2 / xf
     a3 = ((d - 2 * l) if side == "upper" else d) * tx
     a4 = math.fsum(_kappa_term(k) for k in kaps) / xf if kaps else 0.0
-    a5 = (
-        math.fsum(
-            ((cmath.exp(-k * logx) - 1.0) / (k * (k + 1.0))).real for k in kaps
-        )
-        / xf
-        if kaps
-        else 0.0
-    )
+    a5 = math.fsum(kappa_ramp(k, logx).real for k in kaps) / xf if kaps else 0.0
     core = a1 + a2 - a3 - a4 - a5
     if side == "upper":
         pref = (1.0 / logx - 2.0 / (sqx * logx * logx)) / (1.0 + 1.0 / sqx) ** 2
@@ -755,11 +744,9 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
 
 
 def _window_audit_records(tbl: PrimeTable, q_max: int, x: float) -> List[AuditRecord]:
+    # a primitive character mod q >= 2 is never principal (conductor 1)
     chars = (
-        chi
-        for q in range(3, q_max + 1)
-        for chi in enumerate_characters(q, primitive_only=True)
-        if not chi.is_principal
+        chi for q in range(3, q_max + 1) for chi in enumerate_characters(q, primitive_only=True)
     )
     return window_records(tbl, chars, x)
 

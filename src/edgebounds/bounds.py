@@ -13,14 +13,12 @@ from typing import Dict, Tuple
 
 from .constants import TWELVE_E_GAMMA_OVER_PI2, TWO_E_GAMMA
 from .errors import DomainError
-from .lfunc import LFunctionInstance, t_aspect_conductor
 
 __all__ = [
     "BoundConstants",
     "BoundReport",
     "constants",
     "upper_bound",
-    "t_aspect_bounds",
     "littlewood_reference",
 ]
 
@@ -157,12 +155,6 @@ def upper_bound(d: int, logC: float) -> BoundReport:
         terms=terms,
         littlewood={"upper": lw_up, "lower": lw_lo},
     )
-
-
-def t_aspect_bounds(inst: LFunctionInstance, t: float) -> BoundReport:
-    """Both envelopes evaluated at the conductor on the vertical line."""
-    ct = t_aspect_conductor(inst, t)
-    return upper_bound(inst.d, math.log(ct))
 
 
 def littlewood_reference(d: int, logC: float) -> Tuple[float, float]:

@@ -209,7 +209,7 @@ def _dirichlet_l1(ns: argparse.Namespace) -> _Result:
 
 
 def _dirichlet_survey(ns: argparse.Namespace) -> _Result:
-    rows = [r.to_json_dict() for r in dirichlet.survey(ns.qmax, out=None)]
+    rows = [r.to_json_dict() for r in dirichlet.survey(ns.qmax)]
     return _doc("dirichlet.survey", {"qmax": ns.qmax}, {"records": rows}), []
 
 

@@ -10,8 +10,7 @@ L(1, chi) is evaluated two independent ways: a closed finite sum over
 digamma values at rationals, and, for primitive chi, the rapidly
 convergent series from the theta functional equation, with a proven tail
 bound and the root number from the Gauss sum. The survey compares
-|L(1, chi)| against the conditional upper envelope and persists CSV/JSON
-side by side.
+|L(1, chi)| against the conditional upper envelope.
 """
 
 import itertools
@@ -25,7 +24,7 @@ import numpy as np
 from ._kernel import exact_sum
 from .bounds import upper_bound
 from .constants import PI
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .lfunc import analytic_conductor, dirichlet_instance
 from .primes import factorize
 from .special import digamma_rational, exp1
@@ -182,15 +181,6 @@ class DirichletCharacter:
     def value_table(self) -> np.ndarray:
         return self._values.copy()
 
-    def conjugate(self) -> "DirichletCharacter":
-        g = _group(self.modulus)
-        exps = tuple((-c) % o for c, o in zip(self.exponents, g.orders))
-        return _characters(g, [exps], [_conductor_parity(g, exps)])[0]
-
-    def is_real(self) -> bool:
-        g = _group(self.modulus)
-        return all(2 * c % o == 0 for c, o in zip(self.exponents, g.orders))
-
 
 def _conductor_parity(g: _UnitGroup, exps: Tuple[int, ...]) -> Tuple[int, int]:
     cond = 1
@@ -210,6 +200,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# cells of the (characters x q) value matrix one modulus may build: 160 MB
+# of complex values, plus an int64 phase matrix half that size
+MAX_VALUE_CELLS = 10 ** 7
+
+
 def _characters(
     g: _UnitGroup,
     keys: List[Tuple[int, ...]],
@@ -220,8 +215,14 @@ def _characters(
     All phases come from one integer product dlog @ coeff^T, reduced mod
     the common root order, and each value is looked up in the table of
     exp(2 pi i k / root_order); the matrix is frozen, so the rows are too.
+    A matrix beyond MAX_VALUE_CELLS is refused before any array is made.
     """
     q = g.q
+    if len(keys) * q > MAX_VALUE_CELLS:
+        raise ResourceBudgetError(
+            "a %d x %d character value matrix exceeds the %d-cell budget"
+            % (len(keys), q, MAX_VALUE_CELLS)
+        )
     coeff = np.array(keys, dtype=np.int64).reshape(len(keys), len(g.orders))
     coeff *= np.array(g.phase_weights, dtype=np.int64)
     phases = (g.dlog @ coeff.T) % g.root_order
@@ -474,10 +475,11 @@ def survey_csv(rows: List[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
+def survey(q_max: int) -> List[SurveyRecord]:
     """Envelope comparison over primitive non-principal chi, 3 <= q <= q_max.
 
-    A primitive chi mod q has conductor q, so its analytic conductor and
+    A primitive chi mod q has conductor q, so for q >= 2 it is never the
+    principal character (conductor 1), and its analytic conductor and
     envelope depend only on q and the parity: each is computed once per
     (q, parity). The L(1, chi) of one q come from one matrix (_l1_values).
     """
@@ -485,7 +487,7 @@ def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
         raise DomainError("survey needs q_max >= 3")
     records: List[SurveyRecord] = []
     for q in range(3, q_max + 1):
-        chars = [c for c in enumerate_characters(q, primitive_only=True) if not c.is_principal]
+        chars = enumerate_characters(q, primitive_only=True)
         if not chars:
             continue
         envelopes: Dict[int, Tuple[float, Optional[float], bool]] = {}
@@ -515,12 +517,4 @@ def survey(q_max: int, out: Optional[str] = None) -> List[SurveyRecord]:
                 )
             )
     records.sort(key=lambda r: (r.q, r.char_index))
-    if out is not None:
-        rows = [r.to_json_dict() for r in records]
-        with open(out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(survey_csv(rows))
-        from ._jsonio import dumps_report
-
-        with open(out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(dumps_report(rows))
     return records

@@ -11,14 +11,12 @@ concrete cases used by the laboratory: primitive Dirichlet characters
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .constants import PI
 from .errors import DomainError
-
-Number = Union[float, complex]
 
 
 @dataclass(frozen=True)
@@ -93,17 +91,12 @@ class LFunctionInstance:
         }
 
 
-def analytic_conductor(inst: LFunctionInstance, s: Number = 1.0) -> float:
-    """q / pi^d times the product of |(s + kappa_j) / 2|."""
+def analytic_conductor(inst: LFunctionInstance) -> float:
+    """q / pi^d times the product of |(1 + kappa_j) / 2|."""
     prod = 1.0
     for k in inst.local_params:
-        prod *= abs((s + k) / 2.0)
+        prod *= abs((1.0 + k) / 2.0)
     return inst.q / PI ** inst.d * prod
-
-
-def t_aspect_conductor(inst: LFunctionInstance, t: float) -> float:
-    """Conductor along the vertical line, q / pi^d prod |(1 + it + kappa_j)/2|."""
-    return analytic_conductor(inst, 1.0 + 1j * float(t))
 
 
 def dirichlet_instance(chi) -> LFunctionInstance:

@@ -1,6 +1,6 @@
 """Prime-power tables and the three weighted prime sums used by the audits.
 
-A smallest-prime-factor table drives everything: prime powers up to x are
+A table is the list of primes up to its limit. Prime powers up to x are
 enumerated per exponent, term arrays are built vectorized, and every final
 reduction is _kernel.exact_sum, which returns math.fsum's correctly rounded
 value in a few whole-array passes, so results do not depend on term order
@@ -23,11 +23,10 @@ MAX_SIEVE_LIMIT = 200_000_000
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """Immutable sieve products for 2..limit."""
+    """The primes up to limit, ascending, as int64."""
 
     limit: int
-    spf: np.ndarray
-    _primes: np.ndarray = field(repr=False)
+    primes: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ _PRIME_SCAN = 1 << 20  # sieve entries compared at once when listing primes
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Sieve smallest prime factors up to limit (deterministic output)."""
+    """The primes up to limit, read off a smallest-prime-factor sieve that is not kept."""
     limit = checked_limit(limit)
     spf = _kernel.spf_array(limit)
     # n is prime iff spf[n] == n; compared a slice at a time so that no
@@ -81,7 +80,7 @@ def build_table(limit: int) -> PrimeTable:
         hi = min(limit + 1, lo + _PRIME_SCAN)
         found.append(np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=np.int32)) + lo)
     primes = np.concatenate(found).astype(np.int64, copy=False)
-    return PrimeTable(limit=limit, spf=spf, _primes=primes)
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
@@ -101,25 +100,10 @@ def factorize(n: int) -> List[Tuple[int, int]]:
     return out
 
 
-def mangoldt(tbl: PrimeTable, n: int) -> float:
-    """log p when n = p^k, else 0 (also 0 beyond the table)."""
+def is_prime_power(n: int) -> bool:
+    """True when n = p^k for a prime p and k >= 1, by trial division."""
     n = int(n)
-    if n > tbl.limit or not is_prime_power(tbl, n):
-        return 0.0
-    return math.log(int(tbl.spf[n]))
-
-
-def is_prime_power(tbl: PrimeTable, n: int) -> bool:
-    n = int(n)
-    if n < 2:
-        return False
-    if n > tbl.limit:
-        raise DomainError("n=%d beyond table limit %d" % (n, tbl.limit))
-    p = int(tbl.spf[n])
-    m = n
-    while m % p == 0:
-        m //= p
-    return m == 1
+    return n >= 2 and len(factorize(n)) == 1
 
 
 def prime_power_grid(tbl: PrimeTable, x: float):
@@ -131,7 +115,7 @@ def prime_power_grid(tbl: PrimeTable, x: float):
     k = 1
     while 2.0 ** k <= xf:
         approx = xf ** (1.0 / k)
-        cand = tbl._primes[tbl._primes <= approx + 2.0]
+        cand = tbl.primes[tbl.primes <= approx + 2.0]
         if cand.size:
             pk = cand ** k
             keep = pk <= xf
@@ -223,7 +207,7 @@ def alternating_prime_power_sum(tbl: PrimeTable, x: float) -> float:
         raise DomainError("need x >= 2, got %r" % (x,))
     if xf > tbl.limit:
         raise DomainError("x=%r beyond table limit %d" % (x, tbl.limit))
-    if xf == math.floor(xf) and is_prime_power(tbl, int(xf)):
+    if xf == math.floor(xf) and is_prime_power(int(xf)):
         raise DomainError("x=%r is a prime power" % (x,))
 
     c = 1.0 / (xf * math.log(xf))

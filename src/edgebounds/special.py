@@ -325,6 +325,15 @@ def kappa_series_closed(kappa: Number) -> float:
     )
 
 
+def kappa_ramp(kappa: complex, log_x: float) -> complex:
+    """(x^-kappa - 1) / (kappa (kappa + 1)) at x = e^log_x, for kappa != 0.
+
+    The ramp of the grouped term A5 and of techlem2_bound_ratio; windows,
+    the A-terms audit and the techlem2 grid all evaluate it here.
+    """
+    return (cmath.exp(-kappa * log_x) - 1.0) / (kappa * (kappa + 1.0))
+
+
 def techlem2_bound_ratio(kappa: Number, x: float) -> float:
     """|(x^-kappa - 1) / (kappa (kappa+1))| * log(3) / (2 log x).
 
@@ -344,7 +353,7 @@ def techlem2_bound_ratio(kappa: Number, x: float) -> float:
         ramp = -big_l * (1.0 - kl / 2.0 + kl * kl / 6.0 - kl * kl * kl / 24.0)
         core = ramp / (k + 1.0)
     else:
-        core = (cmath.exp(-k * big_l) - 1.0) / (k * (k + 1.0))
+        core = kappa_ramp(k, big_l)
     return abs(core) * LOG_3 / (2.0 * big_l)
 
 

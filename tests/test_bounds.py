@@ -1,6 +1,9 @@
 """Main bound evaluators: constants, both envelopes, threshold and comparisons."""
 
+import io
+import json
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -8,12 +11,13 @@ import pytest
 from edgebounds import (
     DomainError,
     LFunctionInstance,
+    analytic_conductor,
     constants,
     littlewood_reference,
-    t_aspect_bounds,
     upper_bound,
 )
 from edgebounds.bounds import BoundConstants
+from edgebounds.cli import run
 
 FROZEN_CONSTANTS = {
     1: (3.516873328245897, 3.269530928956084, 14.084198026489197),
@@ -156,22 +160,34 @@ def test_littlewood_comparison_higher_degrees():
             assert r.upper <= r.littlewood["upper"] * (1.0 + 1e-12), (d, c)
 
 
+def _bound_at_t(d, log_c, t):
+    """The report of `bound --t`, the one t-aspect path."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(["bound", "--d", str(d), "--log-conductor=%r" % (log_c,), "--t", repr(t)])
+    assert code == 0
+    return json.loads(out.getvalue())["report"]
+
+
 def test_t_aspect_composition():
+    # all-zero local parameters: C(t) = C(0) |1 + it|^d
     wide = LFunctionInstance(d=1, q=10**6, local_params=(0.0,), label="wide")
-    base = t_aspect_bounds(wide, 0.0)
-    assert base.logC == pytest.approx(math.log(10**6 / (2.0 * math.pi)), rel=1e-12)
-    assert base.upper == pytest.approx(upper_bound(1, base.logC).upper, rel=1e-12)
+    base = _bound_at_t(1, math.log(analytic_conductor(wide)), 0.0)
+    assert base["logC"] == pytest.approx(math.log(10**6 / (2.0 * math.pi)), rel=1e-12)
+    assert base == upper_bound(1, base["logC"]).to_json_dict()
     unit = LFunctionInstance(d=1, q=1, local_params=(0.0,), label="unit")
     t = math.sqrt((2.0 * math.pi * math.exp(23.0)) ** 2 - 1.0)
-    shifted = t_aspect_bounds(unit, t)
-    assert shifted.logC == pytest.approx(23.0, abs=1e-10)
-    assert shifted.upper == pytest.approx(upper_bound(1, 23.0).upper, rel=1e-12)
-    assert shifted.valid
+    shifted = _bound_at_t(1, math.log(analytic_conductor(unit)), t)
+    assert shifted["logC"] == pytest.approx(23.0, abs=1e-10)
+    assert shifted["upper"] == pytest.approx(upper_bound(1, 23.0).upper, rel=1e-12)
+    assert shifted["valid"]
+    # degree 2: the conductor grows like t^2
+    shift = _bound_at_t(2, 46.0, 1e8)["logC"] - 46.0
+    assert shift == pytest.approx(2.0 * math.log(1e8), rel=1e-15)
 
 
 def test_t_aspect_nondecreasing_once_valid():
-    unit = LFunctionInstance(d=1, q=1, local_params=(0.0,), label="unit")
     t0 = math.sqrt((2.0 * math.pi * math.exp(23.0)) ** 2 - 1.0)
     ts = np.geomspace(t0, t0 * 1e6, 60)
-    ups = [t_aspect_bounds(unit, float(t)).upper for t in ts]
+    ups = [_bound_at_t(1, -math.log(2.0 * math.pi), float(t))["upper"] for t in ts]
     assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))

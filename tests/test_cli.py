@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebounds import _kernel, audits, cli, dirichlet, primes, run_audit, survey
+from edgebounds import _kernel, audits, cli, dirichlet, primes, run_audit
 from edgebounds.cli import run
 from edgebounds.errors import ResourceBudgetError
 
@@ -236,8 +236,9 @@ def test_survey_csv_shape(tmp_path):
     assert len(lines) == 13  # 12 primitive non-principal characters below 9
     assert lines[1].split(",")[0] == "3"
     assert lines[1].endswith(",,false,")
-    # the library's survey(out=) file is the same document
-    survey(8, out=str(tmp_path / "s"))
+    # --out writes the same document to a file
+    argv = ["dirichlet", "survey", "--qmax", "8", "--format", "csv"]
+    assert cap(argv + ["--out", str(tmp_path / "s.csv")]) == (0, "", "")
     assert (tmp_path / "s.csv").read_text() == text
 
 
@@ -355,6 +356,25 @@ def test_grid_budget_exit_two_before_any_array(monkeypatch, audit_id):
     audits._check_grid(audits.MAX_GRID_CELLS, 1)
     with pytest.raises(ResourceBudgetError):
         audits._check_grid(audits.MAX_GRID_CELLS + 1, 1)
+
+
+def test_value_matrix_budget_exit_two_before_any_array(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a value matrix was requested")
+
+    monkeypatch.setattr(dirichlet.np, "zeros", no_matrix)
+    # 10,005 primitive characters mod the prime 10007: 1.6 GB of values
+    for argv in (["dirichlet", "l1", "--q", "10007"], ["window", "--q", "10007"]):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error: ") and "cell budget" in err, argv
+    monkeypatch.undo()
+    # the 4 x 5 matrix of the characters mod 5 is 20 cells
+    monkeypatch.setattr(dirichlet, "MAX_VALUE_CELLS", 20)
+    assert len(dirichlet.enumerate_characters(5)) == 4
+    monkeypatch.setattr(dirichlet, "MAX_VALUE_CELLS", 19)
+    with pytest.raises(ResourceBudgetError, match="cell budget"):
+        dirichlet.enumerate_characters(5)
 
 
 def test_primesums_document():

@@ -1,8 +1,10 @@
 """Character enumeration, structure invariants, and the two L(1) methods."""
 
 import cmath
+import io
 import json
 import math
+from contextlib import redirect_stdout
 
 import mpmath
 import numpy as np
@@ -17,6 +19,7 @@ from edgebounds import (
 )
 from edgebounds import dirichlet
 from edgebounds.bounds import upper_bound
+from edgebounds.cli import run
 from edgebounds.lfunc import analytic_conductor, dirichlet_instance
 from edgebounds.special import digamma_rational
 
@@ -57,6 +60,18 @@ def test_character_multiplicativity_and_parity():
             assert chi.value(q) == 0.0
 
 
+def _conjugate(chi):
+    """The character of the same modulus whose values are conj(chi)."""
+    want = np.conj(chi.value_table())
+    (bar,) = [c for c in enumerate_characters(chi.modulus) if np.allclose(c.value_table(), want)]
+    return bar
+
+
+def _is_real(chi):
+    # e(1/2) = exp(i pi) carries a 1.2e-16 imaginary part, so not == 0
+    return bool(np.all(np.abs(chi.value_table().imag) <= 1e-12))
+
+
 def test_character_orthogonality_and_conjugate():
     for q in (5, 7, 8, 12):
         for chi in enumerate_characters(q):
@@ -65,15 +80,14 @@ def test_character_orthogonality_and_conjugate():
                 assert total.real > 0.0
             else:
                 assert abs(total) <= 1e-9
-            bar = chi.conjugate()
-            assert np.allclose(bar.value_table(), np.conj(chi.value_table()))
+            bar = _conjugate(chi)
             assert bar.conductor == chi.conductor and bar.parity == chi.parity
 
 
 def test_real_characters_detected():
     chars5 = {c.index: c for c in enumerate_characters(5)}
-    assert chars5[2].is_real() and not chars5[1].is_real()
-    assert chars5[1].conjugate().index == 3
+    assert _is_real(chars5[2]) and not _is_real(chars5[1])
+    assert _conjugate(chars5[1]).index == 3
 
 
 def test_primitive_iff_conductor_equals_modulus():
@@ -190,7 +204,7 @@ def test_l1_series_closed_forms():
 @pytest.mark.parametrize("q, h", [(7, 1), (11, 1), (23, 3), (199, 9)])
 def test_l1_series_class_numbers(q, h):
     # q = 3 mod 4 prime: h(-q) = sqrt(q)/pi L(1, (./q))
-    (legendre,) = [c for c in _primitive(q) if c.is_real()]
+    (legendre,) = [c for c in _primitive(q) if _is_real(c)]
     assert abs(math.sqrt(q) / math.pi * l1_value_series(legendre) - h) <= 1e-12
 
 
@@ -325,9 +339,13 @@ def test_survey_record_json_shape():
 
 
 def test_survey_writes_csv_and_json(tmp_path):
-    out = tmp_path / "survey"
-    recs = survey(8, out=str(out))
-    csv_text = (out.with_suffix(".csv")).read_text()
+    # the CLI's --out is the one survey writer
+    recs = survey(8)
+    for fmt in ("csv", "json"):
+        argv = ["dirichlet", "survey", "--qmax", "8", "--format", fmt]
+        with redirect_stdout(io.StringIO()):
+            assert run(argv + ["--out", str(tmp_path / ("survey." + fmt))]) == 0
+    csv_text = (tmp_path / "survey.csv").read_text()
     lines = csv_text.strip().split("\n")
     assert lines[0] == (
         "q,char_index,conductor,parity,re_L1,im_L1,abs_L1,C_chi,bound_upper,bound_valid,ratio"
@@ -335,8 +353,8 @@ def test_survey_writes_csv_and_json(tmp_path):
     assert len(lines) == 1 + len(recs)
     # null bound cells are empty, booleans lowercase
     assert lines[1].endswith(",,false,")
-    doc = json.loads((out.with_suffix(".json")).read_text())
-    assert len(doc) == len(recs)
+    doc = json.loads((tmp_path / "survey.json").read_text())
+    assert doc["records"] == json.loads(json.dumps([r.to_json_dict() for r in recs]))
 
 
 def test_enumerate_rejects_tiny_modulus():

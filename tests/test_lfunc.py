@@ -12,7 +12,6 @@ from edgebounds import (
     dirichlet_instance,
     enumerate_characters,
     hecke_instance,
-    t_aspect_conductor,
 )
 from edgebounds.audits import _window_weights
 
@@ -55,22 +54,6 @@ def test_hecke_instance_shape():
     assert inst.local_params == (0.0 + 0j, 1.0 + 0j)
     assert inst.zero_param_count() == 1
     assert hecke_instance(12, 1).local_params == (5.5 + 0j, 6.5 + 0j)
-
-
-def test_t_aspect_conductor_frozen_and_growth():
-    unit = LFunctionInstance(d=1, q=1, local_params=(0.0,), label="unit")
-    got = t_aspect_conductor(unit, 2.0)
-    assert got == pytest.approx(0.3558812717085886, rel=1e-14)
-    assert got == pytest.approx(math.sqrt(5.0) / (2.0 * math.pi), rel=1e-13)
-    # degree-2 conductor grows like t^2 with the 1/(4 pi^2) constant
-    inst = hecke_instance(12, 1)
-    t = 1e8
-    assert t_aspect_conductor(inst, t) / t**2 == pytest.approx(
-        1.0 / (4.0 * math.pi**2), rel=1e-6
-    )
-    ts = np.linspace(0.0, 50.0, 40)
-    vals = [t_aspect_conductor(inst, float(t)) for t in ts]
-    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_dirichlet_instance_oracle_matches_character_powers():

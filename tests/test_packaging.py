@@ -36,3 +36,48 @@ def test_package_imports_no_test_oracles():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("mpmath", "scipy"), (path.name, name)
+
+
+def _loaded_names(tree):
+    """Every name the module reads, as a bare name or an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_no_unused_imports_or_private_names():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "edgebounds").glob("*.py"))
+    }
+    loaded = {name: _loaded_names(tree) for name, tree in trees.items()}
+    # a private name counts as referenced when any module reads or imports it
+    referenced = set().union(*loaded.values())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            # __init__ imports only to re-export
+            if name != "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    bound = a.asname or a.name.split(".")[0]
+                    if bound not in loaded[name]:
+                        unused.append((name, "import", bound))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and d not in referenced:
+                    unused.append((name, "private", d))
+    assert unused == []

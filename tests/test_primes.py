@@ -9,10 +9,10 @@ import edgebounds
 from edgebounds import (
     DomainError,
     ResourceBudgetError,
+    _kernel,
     alternating_prime_power_sum,
     build_table,
     is_prime_power,
-    mangoldt,
     prime_power_grid,
     psi_total,
     smoothed_sum_linear,
@@ -31,7 +31,7 @@ def _naive_spf(n):
 def test_spf_matches_trial_division():
     assert edgebounds.kernel_backend() == "python"
     for limit in (3000, 200_000):
-        spf = build_table(limit).spf
+        spf = _kernel.spf_array(limit)
         assert spf.dtype == np.int32 and spf[0] == 0 and spf[1] == 0
         n = np.arange(2, limit + 1)
         p = spf[2:].astype(np.int64)
@@ -46,12 +46,12 @@ def test_spf_matches_trial_division():
 
 def test_prime_list_matches_naive(monkeypatch):
     naive = [n for n in range(2, 3001) if _naive_spf(n) == n]
-    assert build_table(3000)._primes.tolist() == naive
+    assert build_table(3000).primes.tolist() == naive
     # several scan slices, the last one partial
     monkeypatch.setattr(edgebounds.primes, "_PRIME_SCAN", 256)
     tbl = build_table(3000)
-    assert tbl._primes.dtype == np.int64
-    assert tbl._primes.tolist() == naive
+    assert tbl.primes.dtype == np.int64
+    assert tbl.primes.tolist() == naive
 
 
 def test_build_table_budget():
@@ -61,17 +61,8 @@ def test_build_table_budget():
         build_table(MAX_SIEVE_LIMIT + 1)
 
 
-def test_mangoldt_spot_values(table4):
-    assert mangoldt(table4, 8) == pytest.approx(math.log(2.0), rel=1e-15)
-    assert mangoldt(table4, 9) == pytest.approx(math.log(3.0), rel=1e-15)
-    assert mangoldt(table4, 97) == pytest.approx(math.log(97.0), rel=1e-15)
-    assert mangoldt(table4, 12) == 0.0
-    assert mangoldt(table4, 1) == 0.0
-    assert mangoldt(table4, 10007) == 0.0  # a prime beyond the table
-
-
-def test_is_prime_power_flags(table4):
-    flags = {n: is_prime_power(table4, n) for n in range(2, 101)}
+def test_is_prime_power_flags():
+    flags = {n: is_prime_power(n) for n in range(-3, 101)}
     truth = set()
     for p in range(2, 101):
         if _naive_spf(p) != p:
@@ -81,6 +72,10 @@ def test_is_prime_power_flags(table4):
             truth.add(pk)
             pk *= p
     assert {n for n, f in flags.items() if f} == truth
+    # no table bounds the argument: primes, prime powers and composites far out
+    assert is_prime_power(10007) and is_prime_power(199999991)
+    assert is_prime_power(14107 ** 2) and is_prime_power(2 ** 27)
+    assert not is_prime_power(10007 * 10009) and not is_prime_power(199999992)
 
 
 def test_prime_power_grid_structure(table4):
