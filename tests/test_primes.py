@@ -18,7 +18,7 @@ from edgebounds import (
     smoothed_sum_linear,
     smoothed_sum_log,
 )
-from edgebounds.primes import MAX_SIEVE_LIMIT, WeightedSumResult
+from edgebounds.primes import MAX_SIEVE_LIMIT, WeightedSumResult, factorize
 
 
 def _naive_spf(n):
@@ -59,6 +59,21 @@ def test_build_table_budget():
         build_table(1)
     with pytest.raises(ResourceBudgetError):
         build_table(MAX_SIEVE_LIMIT + 1)
+
+
+def test_mangoldt_spot_values(table4):
+    # Lambda(n) = log p on the prime-power grid the sums read, 0 off it
+    lam = {}
+    for p_arr, pk, _k in prime_power_grid(table4, table4.limit):
+        lam.update(zip(pk.tolist(), np.log(p_arr.astype(np.float64)).tolist()))
+    assert lam[8] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert lam[9] == pytest.approx(math.log(3.0), rel=1e-15)
+    assert lam[97] == pytest.approx(math.log(97.0), rel=1e-15)
+    assert 12 not in lam and 1 not in lam
+    assert set(lam) == {n for n in range(1, table4.limit + 1) if is_prime_power(n)}
+    # a prime beyond the table is off its grid, yet the predicate needs no table
+    assert 10007 not in lam
+    assert is_prime_power(10007) and factorize(10007) == [(10007, 1)]
 
 
 def test_is_prime_power_flags():
