@@ -267,9 +267,8 @@ def test_window_subcommand_frozen():
     assert doc["params"]["sieve_limit"] == 100000
 
 
-def test_window_sweep_trace_contract():
-    # perfbench's outside tracer patches the package's import sites; the
-    # window audit must keep them and build one prime-power grid in all.
+def _traced(argv):
+    """Exit code and perfbench tracer report of one in-process CLI run."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
@@ -277,15 +276,28 @@ def test_window_sweep_trace_contract():
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        code, _, _ = cap(["audit", "--id", "window", "--qmax", "7", "--x", "1000"])
+        code, _, _ = cap(argv)
     finally:
         tracer.restore()
+    return code, tracer.report()
+
+
+def test_window_sweep_trace_contract():
+    # perfbench's outside tracer patches the package's import sites; the
+    # window audit must keep them and build one prime-power grid in all.
+    code, rep = _traced(["audit", "--id", "window", "--qmax", "7", "--x", "1000"])
     assert code == 0
-    rep = tracer.report()
     assert rep["primes.prime_power_grid.calls"] == 1
     assert rep["lfunc.coefficient.calls"] == 0
     assert rep["primes.sieve_entries"] == 1001  # one table, sized to x
     assert rep["special.kappa_series_direct.calls"] == 0  # odd characters go through digamma
+    # the survey enumerates each modulus 3..12 once; --index builds one row
+    code, rep = _traced(["dirichlet", "survey", "--qmax", "12"])
+    assert code == 0
+    assert rep["dirichlet.enumerate_characters.calls"] == 10
+    code, rep = _traced(["dirichlet", "l1", "--q", "397", "--index", "5"])
+    assert code == 0
+    assert rep.get("dirichlet.enumerate_characters.calls", 0) == 0
 
 
 @pytest.mark.parametrize(

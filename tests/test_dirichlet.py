@@ -1,6 +1,7 @@
 """Character enumeration, structure invariants, and the two L(1) methods."""
 
 import cmath
+import hashlib
 import io
 import json
 import math
@@ -88,6 +89,38 @@ def test_real_characters_detected():
     chars5 = {c.index: c for c in enumerate_characters(5)}
     assert _is_real(chars5[2]) and not _is_real(chars5[1])
     assert _conjugate(chars5[1]).index == 3
+
+
+def test_conductor_and_parity_from_the_definitions():
+    # conductor: least d | q with chi(a) = 1 for every unit a = 1 mod d;
+    # parity: chi(-1) = (-1)^parity
+    for q in range(1, 121):
+        units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        kernels = [[a for a in units if a % d == 1 % d] for d in divisors]
+        for chi in enumerate_characters(q):
+            vt = chi.value_table()
+            cond = next(
+                d for d, ker in zip(divisors, kernels) if np.allclose(vt[ker], 1.0, atol=1e-9)
+            )
+            assert chi.conductor == cond, (q, chi.index)
+            minus_one = chi.value(q - 1)
+            assert abs(minus_one - (-1.0) ** chi.parity) <= 1e-9, (q, chi.index)
+
+
+# sha256 over q = 1..400 of every character's exponents, conductor, parity,
+# index, primitivity and value-table bytes
+_CHARACTERS_400_SHA256 = "cea3841256fcef8000401944aa1fbf4b6308442353acbbef4ab710082ca32718"
+
+
+def test_characters_up_to_400_pinned():
+    h = hashlib.sha256()
+    for q in range(1, 401):
+        for chi in enumerate_characters(q):
+            h.update(repr((q, chi.exponents, chi.conductor, chi.parity, chi.index,
+                           chi.primitive)).encode())
+            h.update(chi.value_table().tobytes())
+    assert h.hexdigest() == _CHARACTERS_400_SHA256
 
 
 def test_primitive_iff_conductor_equals_modulus():
