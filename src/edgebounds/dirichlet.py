@@ -3,8 +3,11 @@
 Characters mod q are indexed by exponent vectors over a fixed generator
 choice for the unit group: least primitive root for each odd prime-power
 factor, 3 for the factor 4, and the pair (-1, 5) for 2^e with e >= 3.
-Values are taken as exact integer phases over a common root of unity, so
-enumeration order, conductors, and parities are platform-independent.
+Discrete logs come from one int64 table per CRT component, indexed by
+residue, and one rule gives each component character's conductor and
+parity. Values are taken as exact integer phases over a common root of
+unity, so enumeration order, conductors, and parities are
+platform-independent.
 
 L(1, chi) is evaluated two independent ways: a closed finite sum over
 digamma values at rationals, and, for primitive chi, the rapidly
@@ -17,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,8 +60,24 @@ class _Component:
     orders: Tuple[int, ...]
 
 
+def _dlog_table(c: _Component) -> np.ndarray:
+    """Exponents over c.gens of each unit mod c.modulus, one int64 row per residue.
+
+    Rows of non-units are never read, so they are left unset.
+    """
+    table = np.empty((c.modulus, len(c.gens)), dtype=np.int64)
+    res = np.ones(1, dtype=np.int64)
+    for g, o in zip(c.gens, c.orders):
+        powers = [1]
+        for _ in range(o - 1):
+            powers.append(powers[-1] * g % c.modulus)
+        res = np.multiply.outer(res, powers) % c.modulus
+    table[res.ravel()] = np.indices(c.orders).reshape(len(c.orders), res.size).T
+    return table
+
+
 class _UnitGroup:
-    """CRT-decomposed unit group mod q with discrete-log tables."""
+    """CRT-decomposed unit group mod q with its discrete-log matrix."""
 
     def __init__(self, q: int) -> None:
         self.q = q
@@ -81,82 +100,58 @@ class _UnitGroup:
                 )
         self.components = tuple(comps)
         self.orders: Tuple[int, ...] = tuple(o for c in comps for o in c.orders)
-        self.order_product = 1
-        for o in self.orders:
-            self.order_product *= o
+        self.order_product = math.prod(self.orders)
         self.root_order = math.lcm(1, *self.orders)
         self.phase_weights = tuple(self.root_order // o for o in self.orders)
-
-        # per-component residue -> exponent-tuple tables by enumeration
-        comp_dlog: List[Dict[int, Tuple[int, ...]]] = []
-        for c in comps:
-            table: Dict[int, Tuple[int, ...]] = {}
-            if not c.gens:
-                table[1 % c.modulus] = ()
-            elif len(c.gens) == 1:
-                g, o = c.gens[0], c.orders[0]
-                r = 1
-                for j in range(o):
-                    table[r] = (j,)
-                    r = r * g % c.modulus
-            else:
-                g1, g2 = c.gens
-                o1, o2 = c.orders
-                for i in range(o1):
-                    r1 = pow(g1, i, c.modulus)
-                    r = r1
-                    for j in range(o2):
-                        table[r] = (i, j)
-                        r = r * g2 % c.modulus
-            comp_dlog.append(table)
-
-        units = [a for a in range(q) if math.gcd(a, q) == 1] if q > 1 else [0]
-        self.units = np.array(units, dtype=np.int64)
-        rows = []
-        for a in units:
-            row: List[int] = []
-            for c, table in zip(comps, comp_dlog):
-                row.extend(table[a % c.modulus])
-            rows.append(row)
-        self.dlog = np.array(rows, dtype=np.int64).reshape(len(units), len(self.orders))
+        # gcd(0, 1) = 1, so the one residue mod 1 is a unit
+        self.units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        cols = [_dlog_table(c)[self.units % c.modulus] for c in comps]
+        self.dlog = np.concatenate([np.empty((self.units.size, 0), dtype=np.int64)] + cols, axis=1)
 
 
 @lru_cache(maxsize=None)
 def _group(q: int) -> _UnitGroup:
+    if q < 1:
+        raise DomainError("modulus must be >= 1")
     return _UnitGroup(q)
 
 
-def _component_conductor(c: _Component, exps: Tuple[int, ...]) -> int:
-    if c.prime != 2:
-        (k,) = exps
-        (o,) = c.orders
-        k %= o
-        if k == 0:
-            return 1
-        m = o // math.gcd(o, k)
-        s = 0
-        while m % c.prime == 0:
-            m //= c.prime
-            s += 1
-        return c.prime ** (s + 1)
-    if c.exp == 1:
-        return 1
-    if c.exp == 2:
-        (k,) = exps
-        return 4 if k % 2 == 1 else 1
-    s, t = exps
-    t %= c.orders[1]
-    if t != 0:
-        return 1 << (c.exp - ((t & -t).bit_length() - 1))
-    return 4 if s % 2 == 1 else 1
+_Key = Tuple[Tuple[int, ...], int, int]  # (exponents, conductor, parity)
 
 
-def _component_parity(c: _Component, exps: Tuple[int, ...]) -> int:
-    if c.prime != 2:
-        return exps[0] % 2
-    if c.exp == 1:
-        return 0
-    return exps[0] % 2
+def _component_key(c: _Component, exps: Tuple[int, ...]) -> _Key:
+    """The key of the character of one CRT component with exponents exps.
+
+    Its parity is the first exponent mod 2 (the first generator is odd:
+    a primitive root, 3 or -1), or 0 when the component has no generator.
+    The units = 1 mod p^d (d >= 2 for p = 2) are the subgroup of order
+    p^(e-d) of the last generator's cyclic group, where the character is
+    trivial exactly when p^(e-d) divides the last exponent k; so a nonzero
+    k gives conductor p^(e - v_p(k)). With k = 0 the conductor is 4 for an
+    odd character mod 2^e (it factors through mod 4) and 1 for any other.
+    """
+    parity = exps[0] % 2 if exps else 0
+    k = exps[-1] if exps else 0
+    if not k:
+        return exps, 4 if parity else 1, parity
+    v = 0
+    while k % c.prime == 0:
+        k //= c.prime
+        v += 1
+    return exps, c.prime ** (c.exp - v), parity
+
+
+def _key(parts: Iterable[_Key]) -> _Key:
+    """A character's key from its components' keys.
+
+    The exponents concatenate, the conductors multiply and the parities
+    add mod 2.
+    """
+    exps: Tuple[int, ...] = ()
+    cond, parity = 1, 0
+    for e, ce, pe in parts:
+        exps, cond, parity = exps + e, cond * ce, parity ^ pe
+    return exps, cond, parity
 
 
 @dataclass(frozen=True)
@@ -182,19 +177,6 @@ class DirichletCharacter:
         return self._values.copy()
 
 
-def _conductor_parity(g: _UnitGroup, exps: Tuple[int, ...]) -> Tuple[int, int]:
-    cond = 1
-    parity = 0
-    pos = 0
-    for comp in g.components:
-        k = len(comp.orders)
-        ce = exps[pos:pos + k]
-        cond *= _component_conductor(comp, ce)
-        parity ^= _component_parity(comp, ce)
-        pos += k
-    return cond, parity
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -205,17 +187,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 MAX_VALUE_CELLS = 10 ** 7
 
 
-def _characters(
-    g: _UnitGroup,
-    keys: List[Tuple[int, ...]],
-    cond_parities: List[Tuple[int, int]],
-) -> List[DirichletCharacter]:
-    """The characters with exponent vectors keys, one value-matrix row each.
+def _characters(g: _UnitGroup, keys: List[_Key]) -> List[DirichletCharacter]:
+    """The characters with the given keys, one value-matrix row each.
 
     All phases come from one integer product dlog @ coeff^T, reduced mod
     the common root order, and each value is looked up in the table of
     exp(2 pi i k / root_order); the matrix is frozen, so the rows are too.
-    A matrix beyond MAX_VALUE_CELLS is refused before any array is made.
+    The index is the C-order position of the exponents. A matrix beyond
+    MAX_VALUE_CELLS is refused before any array is made.
     """
     q = g.q
     if len(keys) * q > MAX_VALUE_CELLS:
@@ -223,42 +202,27 @@ def _characters(
             "a %d x %d character value matrix exceeds the %d-cell budget"
             % (len(keys), q, MAX_VALUE_CELLS)
         )
-    coeff = np.array(keys, dtype=np.int64).reshape(len(keys), len(g.orders))
-    coeff *= np.array(g.phase_weights, dtype=np.int64)
+    exps = np.array([k for k, _c, _p in keys], dtype=np.int64).reshape(len(keys), len(g.orders))
+    # with no generators (q <= 2, at most one key) the index comes back 0-d
+    index = np.ravel_multi_index(exps.T, g.orders).reshape(-1).tolist()
+    coeff = exps * np.array(g.phase_weights, dtype=np.int64)
     phases = (g.dlog @ coeff.T) % g.root_order
     roots = np.exp(2j * np.pi * np.arange(g.root_order) / g.root_order)
-    values = np.zeros((len(keys), q if q > 1 else 1), dtype=np.complex128)
+    values = np.zeros((len(keys), q), dtype=np.complex128)
     values[:, g.units] = roots[phases.T]
     _frozen(values)
-    out: List[DirichletCharacter] = []
-    for exps, (cond, parity), row in zip(keys, cond_parities, values):
-        index = 0
-        for c, o in zip(exps, g.orders):
-            index = index * o + c
-        out.append(
-            DirichletCharacter(
-                modulus=q,
-                exponents=tuple(exps),
-                conductor=cond,
-                parity=parity,
-                primitive=(cond == q),
-                index=index,
-                _values=row,
-            )
+    return [
+        DirichletCharacter(
+            modulus=q,
+            exponents=e,
+            conductor=cond,
+            parity=parity,
+            primitive=(cond == q),
+            index=i,
+            _values=row,
         )
-    return out
-
-
-def _component_keys(
-    c: _Component, primitive_only: bool
-) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """(exponents, conductor, parity) of each character of one CRT component."""
-    out = []
-    for exps in itertools.product(*(range(o) for o in c.orders)):
-        cond = _component_conductor(c, exps)
-        if not primitive_only or cond == c.modulus:
-            out.append((exps, cond, _component_parity(c, exps)))
-    return out
+        for (e, cond, parity), i, row in zip(keys, index, values)
+    ]
 
 
 def enumerate_characters(
@@ -275,14 +239,12 @@ def enumerate_characters(
     entries, so no imprimitive key is visited and only the kept characters
     get a value table.
     """
-    if q < 1:
-        raise DomainError("modulus must be >= 1")
     g = _group(q)
-    chars: List[Tuple[Tuple[int, ...], int, int]] = [((), 1, 0)]
+    lists = []
     for c in g.components:
-        comp = _component_keys(c, primitive_only)
-        chars = [(k + e, cond * ce, par ^ pe) for k, cond, par in chars for e, ce, pe in comp]
-    return _characters(g, [k for k, _c, _p in chars], [(c, p) for _k, c, p in chars])
+        comp = [_component_key(c, e) for e in itertools.product(*map(range, c.orders))]
+        lists.append([k for k in comp if k[1] == c.modulus] if primitive_only else comp)
+    return _characters(g, [_key(parts) for parts in itertools.product(*lists)])
 
 
 def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
@@ -290,15 +252,16 @@ def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
 
     Only that one value table is built.
     """
-    if q < 1:
-        raise DomainError("modulus must be >= 1")
     g = _group(q)
     if not 0 <= index < g.order_product:
         return None
     # C order: the last exponent runs fastest, as enumerate_characters counts
-    key = tuple(int(c) for c in np.unravel_index(index, g.orders))
-    cond_parity = _conductor_parity(g, key)
-    return _characters(g, [key], [cond_parity])[0] if cond_parity[0] == q else None
+    exps = tuple(int(c) for c in np.unravel_index(index, g.orders))
+    starts = itertools.accumulate((len(c.orders) for c in g.components), initial=0)
+    key = _key(
+        _component_key(c, exps[a:a + len(c.orders)]) for c, a in zip(g.components, starts)
+    )
+    return _characters(g, [key])[0] if key[1] == q else None
 
 
 @lru_cache(maxsize=None)

@@ -81,15 +81,6 @@ class LFunctionInstance:
         """a(p^k) for one prime power, read from the same table."""
         return complex(self.coefficients(np.array(pow(p, k, self.q))))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "d": self.d,
-            "q": self.q,
-            "kappas": [{"re": k.real, "im": k.imag} for k in self.local_params],
-            "oracle": self.label if self.coeff_table is not None else "none",
-        }
-
 
 def analytic_conductor(inst: LFunctionInstance) -> float:
     """q / pi^d times the product of |(1 + kappa_j) / 2|."""

@@ -125,12 +125,24 @@ def prime_power_grid(tbl: PrimeTable, x: float):
     return out
 
 
+def _flat_grid(tbl: PrimeTable, x: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log p, p^k, k) over every p^k <= x, flat in prime_power_grid order.
+
+    log p and p^k are float64, k is int64.
+    """
+    grid = prime_power_grid(tbl, x)
+    if not grid:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    p, pk, k = (
+        np.concatenate(seg)
+        for seg in zip(*((p, pk, np.full(p.size, k)) for p, pk, k in grid))
+    )
+    return np.log(p.astype(np.float64)), pk.astype(np.float64), k
+
+
 def psi_total(tbl: PrimeTable, x: float) -> float:
     """Sum of log p over prime powers p^k <= x."""
-    terms = []
-    for p_arr, _pk, _k in prime_power_grid(tbl, x):
-        terms.append(np.log(p_arr.astype(np.float64)))
-    return _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
+    return _kernel.exact_sum(_flat_grid(tbl, x)[0])
 
 
 def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
@@ -144,14 +156,8 @@ def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
     xf = float(x)
     if not xf > 1.0:
         raise DomainError("need x > 1, got %r" % (x,))
-    if xf > tbl.limit:
-        raise DomainError("x=%r beyond table limit %d" % (x, tbl.limit))
-
-    terms = []
-    for p_arr, pk_arr, _k in prime_power_grid(tbl, xf):
-        lp = np.log(p_arr.astype(np.float64))
-        terms.append(lp * (1.0 / pk_arr.astype(np.float64) - 1.0 / xf))
-    lhs = _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
+    lp, pk, _k = _flat_grid(tbl, x)
+    lhs = _kernel.exact_sum(lp * (1.0 / pk - 1.0 / xf))
 
     base = math.log(xf) - (1.0 + EULER_GAMMA) - trivial_zero_tail(xf).value
     window = 2.0 * abs(B_ZERO_SUM) / math.sqrt(xf)
@@ -174,15 +180,9 @@ def smoothed_sum_log(tbl: PrimeTable, x: float) -> dict:
     xf = float(x)
     if xf < math.e:
         raise DomainError("need x >= e, got %r" % (x,))
-    if xf > tbl.limit:
-        raise DomainError("x=%r beyond table limit %d" % (x, tbl.limit))
     logx = math.log(xf)
-
-    terms = []
-    for p_arr, pk_arr, k in prime_power_grid(tbl, xf):
-        lp = np.log(p_arr.astype(np.float64))
-        terms.append((1.0 - k * lp / logx) / (k * pk_arr.astype(np.float64)))
-    lhs = _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
+    lp, pk, k = _flat_grid(tbl, x)
+    lhs = _kernel.exact_sum((1.0 - k * lp / logx) / (k * pk))
 
     window = 2.0 * abs(B_ZERO_SUM) / (math.sqrt(xf) * logx * logx) + 1.0 / (
         3.0 * xf ** 3 * logx * logx
@@ -205,15 +205,10 @@ def alternating_prime_power_sum(tbl: PrimeTable, x: float) -> float:
     xf = float(x)
     if xf < 2.0:
         raise DomainError("need x >= 2, got %r" % (x,))
-    if xf > tbl.limit:
-        raise DomainError("x=%r beyond table limit %d" % (x, tbl.limit))
+    lp, pk, k = _flat_grid(tbl, x)  # refuses x beyond the table first
     if xf == math.floor(xf) and is_prime_power(int(xf)):
         raise DomainError("x=%r is a prime power" % (x,))
 
     c = 1.0 / (xf * math.log(xf))
-    terms = []
-    for p_arr, pk_arr, k in prime_power_grid(tbl, xf):
-        lp = np.log(p_arr.astype(np.float64))
-        sign = -1.0 if k % 2 else 1.0
-        terms.append(sign * (1.0 / (k * pk_arr.astype(np.float64)) - lp * c))
-    return _kernel.exact_sum(np.concatenate(terms)) if terms else 0.0
+    sign = np.where(k % 2 == 1, -1.0, 1.0)
+    return _kernel.exact_sum(sign * (1.0 / (k * pk) - lp * c))

@@ -211,9 +211,9 @@ def test_index_builds_one_character(monkeypatch):
     built = []
     characters = dirichlet._characters
 
-    def counting(g, keys, cond_parities):
-        built.extend(keys)
-        return characters(g, keys, cond_parities)
+    def counting(g, keys):
+        built.extend(exps for exps, _cond, _parity in keys)
+        return characters(g, keys)
 
     monkeypatch.setattr(dirichlet, "_characters", counting)
     code, text, _ = cap(["window", "--q", "397", "--index", "5", "--x", "1000"])

@@ -159,9 +159,9 @@ def test_primitive_enumeration_builds_only_kept_tables(monkeypatch):
     built = []
     make = dirichlet._characters
 
-    def counting(g, keys, cond_parities):
+    def counting(g, keys):
         built.extend(keys)
-        return make(g, keys, cond_parities)
+        return make(g, keys)
 
     monkeypatch.setattr(dirichlet, "_characters", counting)
     for q in (8, 12, 45, 60, 97):

@@ -107,6 +107,9 @@ def test_dirichlet_instance_oracle_matches_character_powers():
             assert got == pytest.approx(chi.value(p) ** int(k), abs=1e-12)
     assert inst.coefficient(2, 1) == 0.0  # ramified prime
     assert abs(inst.coefficient(3, 50)) <= 1.0 + 1e-12  # p^k far beyond any prime table
+    # the odd character mod 4 has kappa = 1
+    chi4 = [c for c in enumerate_characters(4) if c.primitive][0]
+    assert dirichlet_instance(chi4).local_params == (1 + 0j,)
 
 
 def test_coefficient_bound_enforced():
@@ -165,17 +168,9 @@ def test_coefficient_table_is_stored_read_only():
 
 def test_shape_only_instance_has_no_coefficients(table4):
     inst = hecke_instance(12, 1)
-    assert inst.coeff_table is None and inst.to_json_dict()["oracle"] == "none"
+    assert inst.coeff_table is None
     pk_arr = _window_weights(table4, 1000.0)[0]
     with pytest.raises(DomainError, match="no coefficient table"):
         inst.coefficients(pk_arr)
     with pytest.raises(DomainError, match="no coefficient table"):
         inst.coefficient(2, 1)
-
-
-def test_instance_json_shape():
-    inst = dirichlet_instance([c for c in enumerate_characters(4) if c.primitive][0])
-    doc = inst.to_json_dict()
-    assert set(doc) == {"label", "d", "q", "kappas", "oracle"}
-    assert doc["kappas"] == [{"re": 1.0, "im": 0.0}]
-    assert doc["oracle"] != "none"
