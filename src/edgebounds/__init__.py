@@ -11,7 +11,6 @@ from .audits import (
     AuditRecord,
     Interval,
     a_terms_audit,
-    b_constant,
     explicit_formula_window,
     extremum_h,
     extremum_logratio,
@@ -91,7 +90,6 @@ __all__ = [
     "a_terms_audit",
     "alternating_prime_power_sum",
     "analytic_conductor",
-    "b_constant",
     "build_table",
     "chandee_margin",
     "constants",

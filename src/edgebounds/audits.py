@@ -14,7 +14,7 @@ are bit-identical.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .primes import (
     PrimeTable,
     WeightedSumResult,
     build_table,
+    flat_prime_powers,
     is_prime_power,
     prime_power_grid,
     smoothed_sum_linear,
@@ -39,11 +40,11 @@ from .special import (
     kappa_ramp,
     kappa_series_closed,
     kappa_series_direct,
+    Number,
     techlem2_bound_ratio,
     trivial_zero_tail,
 )
 
-Number = Union[float, complex]
 
 @dataclass(frozen=True)
 class Interval:
@@ -87,8 +88,17 @@ class AuditRecord:
         }
 
 
-def _margin_verdict(margin: float, tol: float) -> str:
-    return "PASS" if margin >= -tol else "FAIL"
+def _margin_record(audit_id: str, params: dict, lhs: float, rhs: float, margin: float):
+    """A margin-style record: window 1e-12, PASS when margin >= -1e-12."""
+    return AuditRecord(
+        id=audit_id,
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
+        window=1e-12,
+        residual=margin,
+        verdict="PASS" if margin >= -1e-12 else "FAIL",
+    )
 
 
 # cells of one grid: a float64 array in trig, p2, hmax and logratio (80 MB
@@ -104,6 +114,14 @@ def _check_grid(rows: int, cols: int) -> None:
         )
 
 
+def _r_theta_grid(r_steps: int, theta_steps: int):
+    """(r, theta, cos theta): r in (0, 1] down a column, theta in [0, 2 pi) along a row."""
+    _check_grid(r_steps, theta_steps)
+    r = np.linspace(1.0 / r_steps, 1.0, r_steps)[:, None]
+    th = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)[None, :]
+    return r, th, np.cos(th)
+
+
 # ---------------------------------------------------------------------------
 # grid inequalities
 
@@ -114,10 +132,7 @@ def verify_trig_inequality(
     """min over k <= k_max, r in (0,1], theta of k^2(1-r cos t) - (1-r^k cos kt)."""
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    _check_grid(r_steps, theta_steps)
-    r = np.linspace(1.0 / r_steps, 1.0, r_steps)[:, None]
-    th = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)[None, :]
-    cos_th = np.cos(th)
+    r, th, cos_th = _r_theta_grid(r_steps, theta_steps)
     min_margin = math.inf
     argk = 1
     min_slack = math.inf
@@ -129,21 +144,14 @@ def verify_trig_inequality(
         if k >= 2:
             slack = k * k - 1.0 - (r ** k + r)
             min_slack = min(min_slack, float(slack.min()))
-    return AuditRecord(
-        id="trig",
-        params={
-            "k_max": k_max,
-            "r_steps": r_steps,
-            "theta_steps": theta_steps,
-            "worst_k": argk,
-            "min_slack_k_ge_2": min_slack,
-        },
-        lhs=min_margin,
-        rhs=0.0,
-        window=1e-12,
-        residual=min_margin,
-        verdict=_margin_verdict(min_margin, 1e-12),
-    )
+    params = {
+        "k_max": k_max,
+        "r_steps": r_steps,
+        "theta_steps": theta_steps,
+        "worst_k": argk,
+        "min_slack_k_ge_2": min_slack,
+    }
+    return _margin_record("trig", params, min_margin, 0.0, min_margin)
 
 
 def verify_p2_positivity(
@@ -161,18 +169,11 @@ def verify_p2_positivity(
         raise DomainError("need x >= 100, got %r" % (x,))
     if xf == math.floor(xf) and is_prime_power(int(xf)):
         raise DomainError("x=%r is a prime power" % (x,))
-    kk = int(math.floor(math.log2(xf)))
-    while 2.0 ** (kk + 1) <= xf:
-        kk += 1
-    while 2.0 ** kk > xf:
-        kk -= 1
+    kk = int(xf).bit_length() - 1  # the largest k with 2^k <= x
     w = [1.0 / (2.0 ** k * k * LOG_2) - 1.0 / (xf * math.log(xf)) for k in range(1, kk + 1)]
     if min(w) <= 0.0:
         raise DomainError("weights not positive at x=%r" % (x,))
-    _check_grid(r_steps, theta_steps)
-    r = np.linspace(1.0 / r_steps, 1.0, r_steps)[:, None]
-    th = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)[None, :]
-    cos_th = np.cos(th)
+    r, th, cos_th = _r_theta_grid(r_steps, theta_steps)
     obj = np.zeros((r_steps, theta_steps))
     for k in range(1, min(5, kk) + 1):
         sgn = 1.0 if k % 2 == 1 else -1.0
@@ -183,22 +184,15 @@ def verify_p2_positivity(
     obj *= LOG_2
     i, j = np.unravel_index(np.argmin(obj), obj.shape)
     mn = float(obj[i, j])
-    return AuditRecord(
-        id="p2",
-        params={
-            "x": xf,
-            "k_cut": kk,
-            "r_steps": r_steps,
-            "theta_steps": theta_steps,
-            "argmin_r": float(r[i, 0]),
-            "argmin_theta": float(th[0, j]),
-        },
-        lhs=mn,
-        rhs=0.0,
-        window=1e-12,
-        residual=mn,
-        verdict=_margin_verdict(mn, 1e-12),
-    )
+    params = {
+        "x": xf,
+        "k_cut": kk,
+        "r_steps": r_steps,
+        "theta_steps": theta_steps,
+        "argmin_r": float(r[i, 0]),
+        "argmin_theta": float(th[0, j]),
+    }
+    return _margin_record("p2", params, mn, 0.0, mn)
 
 
 def verify_techlem2_grid(
@@ -220,23 +214,15 @@ def verify_techlem2_grid(
                 v = techlem2_bound_ratio(kap, float(xx))
                 if v > worst:
                     worst, arg = v, (float(a), float(b), float(xx))
-    margin = 1.0 - worst
-    return AuditRecord(
-        id="techlem2",
-        params={
-            "re_steps": re_steps,
-            "im_steps": im_steps,
-            "x_steps": x_steps,
-            "worst_kappa_re": arg[0],
-            "worst_kappa_im": arg[1],
-            "worst_x": arg[2],
-        },
-        lhs=worst,
-        rhs=1.0,
-        window=1e-12,
-        residual=margin,
-        verdict=_margin_verdict(margin, 1e-12),
-    )
+    params = {
+        "re_steps": re_steps,
+        "im_steps": im_steps,
+        "x_steps": x_steps,
+        "worst_kappa_re": arg[0],
+        "worst_kappa_im": arg[1],
+        "worst_x": arg[2],
+    }
+    return _margin_record("techlem2", params, worst, 1.0, 1.0 - worst)
 
 
 # grid cells verify_chandee_grid evaluates at once (one row if a row is longer)
@@ -264,20 +250,13 @@ def verify_chandee_grid(
         i, j = np.unravel_index(np.argmin(m), m.shape)
         if m[i, j] < worst:
             worst, arg = float(m[i, j]), (float(res[lo + i]), float(ims[j]))
-    return AuditRecord(
-        id="chandee",
-        params={
-            "re_steps": re_steps,
-            "im_steps": im_steps,
-            "argmin_re": arg[0],
-            "argmin_im": arg[1],
-        },
-        lhs=worst,
-        rhs=0.0,
-        window=1e-12,
-        residual=worst,
-        verdict=_margin_verdict(worst, 1e-12),
-    )
+    params = {
+        "re_steps": re_steps,
+        "im_steps": im_steps,
+        "argmin_re": arg[0],
+        "argmin_im": arg[1],
+    }
+    return _margin_record("chandee", params, worst, 0.0, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +301,21 @@ def _pattern_search(
     return s0, t0, sign * best
 
 
-def _compact_grid(sigma_max: float, t_max: float, n: int):
+def _surface_extremum(surface, sigma_max: float, t_max: float, n: int, refine: int, maximize: bool):
+    """(grid values, best grid value, (s*, t*, refined value)) of surface.
+
+    The n x n grid is tan-spaced over [0, sigma_max] x [-t_max, t_max]; its
+    best point seeds the pattern search.
+    """
     _check_grid(n, n)
     u = np.linspace(0.0, math.atan(sigma_max), n)
     v = np.linspace(-math.atan(t_max), math.atan(t_max), n)
-    return np.tan(u)[:, None], np.tan(v)[None, :]
+    s, t = np.tan(u)[:, None], np.tan(v)[None, :]
+    vals = surface(s, t)
+    i, j = np.unravel_index(np.argmax(vals) if maximize else np.argmin(vals), vals.shape)
+    seed = float(s[i, 0]), float(t[0, j])
+    refined = _pattern_search(lambda a, b: float(surface(a, b)), *seed, 0.1, refine, maximize)
+    return vals, float(vals[i, j]), refined
 
 
 def extremum_h(
@@ -346,21 +335,13 @@ def extremum_h(
     closed form rounded up. The printed bracket [0.19, 0.21] for the same
     maximum does not hold: its upper end is exceeded by about 4.36e-3.
     """
-    s, t = _compact_grid(sigma_max, t_max, grid_steps)
-    vals = _h_surface(s, t)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    vals, grid_max, (s_star, t_star, vmax) = _surface_extremum(
+        _h_surface, sigma_max, t_max, grid_steps, refine_steps, maximize=True
+    )
     boundary = max(
         float(np.abs(vals[-1, :]).max()),
         float(np.abs(vals[:, 0]).max()),
         float(np.abs(vals[:, -1]).max()),
-    )
-    s_star, t_star, vmax = _pattern_search(
-        lambda a, b: float(_h_surface(a, b)),
-        float(s[i, 0]),
-        float(t[0, j]),
-        step=0.1,
-        steps=refine_steps,
-        maximize=True,
     )
     claimed = 0.2143594
     verdict = "REPORT" if vmax <= claimed + 1e-9 else "FAIL"
@@ -372,7 +353,7 @@ def extremum_h(
             "grid_steps": grid_steps,
             "refine_steps": refine_steps,
             "boundary_abs_max": boundary,
-            "grid_max": float(vals[i, j]),
+            "grid_max": grid_max,
         },
         lhs=vmax,
         rhs=claimed,
@@ -389,16 +370,8 @@ def extremum_logratio(
     refine_steps: int = 200,
 ) -> AuditRecord:
     """Global min of the half-log ratio surface: log(2/3) at the origin."""
-    s, t = _compact_grid(sigma_max, t_max, grid_steps)
-    vals = _logratio_surface(s, t)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    s_star, t_star, vmin = _pattern_search(
-        lambda a, b: float(_logratio_surface(a, b)),
-        float(s[i, 0]),
-        float(t[0, j]),
-        step=0.1,
-        steps=refine_steps,
-        maximize=False,
+    _vals, _grid_min, (s_star, t_star, vmin) = _surface_extremum(
+        _logratio_surface, sigma_max, t_max, grid_steps, refine_steps, maximize=False
     )
     target = math.log(2.0 / 3.0)
     at_origin = abs(s_star) + abs(t_star) <= 1e-6
@@ -487,22 +460,17 @@ def identity_residual_techlem1(
     )
 
 
-def b_constant() -> float:
-    """Zero-sum constant (1/2) log(4 pi) - 1 - gamma/2."""
-    return B_ZERO_SUM
-
-
 def verify_b_constant() -> AuditRecord:
     fresh = 0.5 * math.log(4.0 * math.pi) - 1.0 - 0.5 * EULER_GAMMA
-    resid = b_constant() - fresh
+    resid = B_ZERO_SUM - fresh
     return AuditRecord(
         id="bconst",
-        params={"two_abs_B": 2.0 * abs(b_constant()), "negative": b_constant() < 0.0},
-        lhs=b_constant(),
+        params={"two_abs_B": 2.0 * abs(B_ZERO_SUM), "negative": B_ZERO_SUM < 0.0},
+        lhs=B_ZERO_SUM,
         rhs=fresh,
         window=1e-12,
         residual=resid,
-        verdict="PASS" if abs(resid) <= 1e-12 and b_constant() < 0.0 else "FAIL",
+        verdict="PASS" if abs(resid) <= 1e-12 and B_ZERO_SUM < 0.0 else "FAIL",
     )
 
 
@@ -513,34 +481,24 @@ def verify_b_constant() -> AuditRecord:
 def _window_weights(tbl: PrimeTable, x: float) -> tuple:
     """Character-free factors of both window prime sums, built once per (tbl, x).
 
-    One flat grid over every p^k <= x, exponent by exponent: (p^k,
+    Over the flat grid of every p^k <= x (primes.flat_prime_powers): (p^k,
     1 - k log p / log x, k p^k, log p, 1/p^k - 1/x). Every instance
     windowed at the same x shares it.
     """
     xf = float(x)
-    logx = math.log(xf)
-    ps, pks, ks = zip(*prime_power_grid(tbl, xf))
-    p_arr, pk_arr = np.concatenate(ps), np.concatenate(pks)
-    k = np.repeat(np.array(ks, dtype=np.int64), [p.size for p in ps])
-    lp = np.log(p_arr.astype(np.float64))
-    pk = pk_arr.astype(np.float64)
-    return pk_arr, 1.0 - k * lp / logx, k * pk, lp, 1.0 / pk - 1.0 / xf
+    lp, pk, k = flat_prime_powers(prime_power_grid(tbl, xf))
+    return pk, 1.0 - k * lp / math.log(xf), k * pk, lp, 1.0 / pk - 1.0 / xf
 
 
-def _instance_prime_sums(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
-) -> Tuple[float, float]:
+def _instance_prime_sums(inst: LFunctionInstance, weights: tuple) -> Tuple[float, float]:
     """One pass over p^k <= x: (log-weight sum, linear-weight sum).
 
     log-weight: Re a(p^k) / (k p^k) * (1 - k log p / log x)
     linear-weight: Re a(p^k) * log p * (1/p^k - 1/x)
 
-    weights are _window_weights(tbl, x), built here when not given. Each sum
-    is one exactly rounded fsum (_kernel.exact_sum), so it does not depend
-    on the term order.
+    weights are _window_weights(tbl, x). Each sum is one exactly rounded
+    fsum (_kernel.exact_sum), so it does not depend on the term order.
     """
-    if weights is None:
-        weights = _window_weights(tbl, x)
     pk_arr, log_num, log_den, lp, lin_w = weights
     re_a = inst.coefficients(pk_arr).real
     # keep this operation order: every window document depends on each bit
@@ -567,14 +525,16 @@ def explicit_formula_window(
 ) -> Interval:
     """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
 
-    weights may carry _window_weights(tbl, x) shared across instances.
+    weights may carry _window_weights(tbl, x) shared across instances, else it is built here.
     """
     xf = _check_window_x(x)
     d = inst.d
     l = inst.zero_param_count()
     logx = math.log(xf)
     sqx = math.sqrt(xf)
-    s_log, s_lin = _instance_prime_sums(inst, tbl, xf, weights)
+    if weights is None:
+        weights = _window_weights(tbl, xf)
+    s_log, s_lin = _instance_prime_sums(inst, weights)
     gblock = _gamma_block(inst)
     tx = trivial_zero_tail(xf).value
 
@@ -659,26 +619,19 @@ def a_terms_audit(
         combined = -pref * core - 2.0 * d / (xf * logx * logx)
         cap = -2.05 * d / (sqx - 1.0) ** 2
         margin = combined - cap
-    return AuditRecord(
-        id="aterms",
-        params={
-            "side": side,
-            "d": d,
-            "l": l,
-            "kappas": list(kaps),
-            "x": xf,
-            "A1": a1,
-            "A2": a2,
-            "A3": a3,
-            "A4": a4,
-            "A5": a5,
-        },
-        lhs=combined,
-        rhs=cap,
-        window=1e-12,
-        residual=margin,
-        verdict=_margin_verdict(margin, 1e-12),
-    )
+    params = {
+        "side": side,
+        "d": d,
+        "l": l,
+        "kappas": list(kaps),
+        "x": xf,
+        "A1": a1,
+        "A2": a2,
+        "A3": a3,
+        "A4": a4,
+        "A5": a5,
+    }
+    return _margin_record("aterms", params, combined, cap, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +642,10 @@ def _prime_sum_records(
     audit_id: str,
     sums: Callable[[PrimeTable, float], Dict[str, WeightedSumResult]],
     xs: Sequence[float],
-    tbl: PrimeTable,
+    sieve_limit: Optional[int],
 ) -> List[AuditRecord]:
-    """One record per model variant of sums(tbl, x), x by x."""
+    """One record per model variant of sums(tbl, x), x by x, tbl sieved to sieve_limit or 10^6."""
+    tbl = build_table(sieve_limit or 10 ** 6)
     return [
         AuditRecord(
             id=audit_id,
@@ -743,7 +697,9 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
     return out
 
 
-def _window_audit_records(tbl: PrimeTable, q_max: int, x: float) -> List[AuditRecord]:
+def _window_audit_records(q_max: int, x: float, sieve_limit: Optional[int]) -> List[AuditRecord]:
+    """window_records of 3 <= q <= q_max, on a table sieved to sieve_limit or x."""
+    tbl = build_table(sieve_limit or table_limit(x))
     # a primitive character mod q >= 2 is never principal (conductor 1)
     chars = (
         chi for q in range(3, q_max + 1) for chi in enumerate_characters(q, primitive_only=True)
@@ -751,54 +707,48 @@ def _window_audit_records(tbl: PrimeTable, q_max: int, x: float) -> List[AuditRe
     return window_records(tbl, chars, x)
 
 
-# id -> records(tbl, grid_steps, q_max, x). Entries call module globals at
-# run time, so a function patched on this module is the one that runs.
-_AUDITS: Dict[str, Callable[[Optional[PrimeTable], int, int, float], List[AuditRecord]]] = {
-    "trig": lambda tbl, g, q, x: [verify_trig_inequality(theta_steps=g)],
-    "p2": lambda tbl, g, q, x: [
+# id -> records(grid_steps, q_max, x, sieve_limit). Entries call module
+# globals at run time, so a function patched on this module is the one that runs.
+_AUDITS: Dict[str, Callable[[int, int, float, Optional[int]], List[AuditRecord]]] = {
+    "trig": lambda g, q, x, lim: [verify_trig_inequality(theta_steps=g)],
+    "p2": lambda g, q, x, lim: [
         verify_p2_positivity(xx, theta_steps=g) for xx in (100.5, 132.25, 1009.3)
     ],
-    "hmax": lambda tbl, g, q, x: [extremum_h(grid_steps=g)],
-    "logratio": lambda tbl, g, q, x: [extremum_logratio(grid_steps=g)],
-    "techlem1": lambda tbl, g, q, x: [identity_residual_techlem1()],
-    "techlem2": lambda tbl, g, q, x: [verify_techlem2_grid()],
-    "chandee": lambda tbl, g, q, x: [verify_chandee_grid()],
-    "bconst": lambda tbl, g, q, x: [verify_b_constant()],
-    "lemma24": lambda tbl, g, q, x: _prime_sum_records(
-        "lemma24", smoothed_sum_linear, (100.0, 1000.0, 10000.0, 1000000.0), tbl
+    "hmax": lambda g, q, x, lim: [extremum_h(grid_steps=g)],
+    "logratio": lambda g, q, x, lim: [extremum_logratio(grid_steps=g)],
+    "techlem1": lambda g, q, x, lim: [identity_residual_techlem1()],
+    "techlem2": lambda g, q, x, lim: [verify_techlem2_grid()],
+    "chandee": lambda g, q, x, lim: [verify_chandee_grid()],
+    "bconst": lambda g, q, x, lim: [verify_b_constant()],
+    "lemma24": lambda g, q, x, lim: _prime_sum_records(
+        "lemma24", smoothed_sum_linear, (100.0, 1000.0, 10000.0, 1000000.0), lim
     ),
-    "lemma26": lambda tbl, g, q, x: _prime_sum_records(
-        "lemma26", smoothed_sum_log, (10000.0, 1000000.0), tbl
+    "lemma26": lambda g, q, x, lim: _prime_sum_records(
+        "lemma26", smoothed_sum_log, (10000.0, 1000000.0), lim
     ),
-    "aterms": lambda tbl, g, q, x: [
+    "aterms": lambda g, q, x, lim: [
         a_terms_audit("upper", 1, 1, (), 132.25),
         a_terms_audit("lower", 2, 0, (0.5, 1.5), 1e4),
     ],
-    "window": lambda tbl, g, q, x: _window_audit_records(tbl, q, x),
-}
-
-# id -> sieve limit of its default prime table, for the ids that read one
-_DEFAULT_TABLE_LIMIT: Dict[str, Callable[[float], int]] = {
-    "lemma24": lambda x: 10 ** 6,
-    "lemma26": lambda x: 10 ** 6,
-    "window": table_limit,
+    "window": lambda g, q, x, lim: _window_audit_records(q, x, lim),
 }
 
 AUDIT_IDS = tuple(_AUDITS)
-TABLE_AUDIT_IDS = tuple(_DEFAULT_TABLE_LIMIT)
 
 
 def run_audit(
     audit_id: str,
-    tbl: Optional[PrimeTable] = None,
     grid_steps: int = 512,
     q_max: int = 50,
     x: float = 1e5,
+    sieve_limit: Optional[int] = None,
 ) -> List[AuditRecord]:
-    """Dispatch one audit id to its records (see AUDIT_IDS)."""
+    """Dispatch one audit id to its records (see AUDIT_IDS).
+
+    lemma24, lemma26 and window sieve their own prime table, to sieve_limit
+    when given; the other ids ignore it.
+    """
     records = _AUDITS.get(audit_id)
     if records is None:
         raise DomainError("unknown audit id %r" % (audit_id,))
-    if tbl is None and audit_id in _DEFAULT_TABLE_LIMIT:
-        tbl = build_table(_DEFAULT_TABLE_LIMIT[audit_id](x))
-    return records(tbl, grid_steps, q_max, x)
+    return records(grid_steps, q_max, x, sieve_limit)

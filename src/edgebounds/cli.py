@@ -167,10 +167,7 @@ def _audit(ns: argparse.Namespace) -> _Result:
     if ns.grid_steps < 8:
         raise DomainError("grid-steps must be >= 8")
     _check_sieve_limit(ns.sieve_limit)
-    tbl = None
-    if ns.sieve_limit is not None and ns.id in audits.TABLE_AUDIT_IDS:
-        tbl = primes.build_table(ns.sieve_limit)
-    recs = audits.run_audit(ns.id, tbl=tbl, grid_steps=ns.grid_steps, q_max=ns.qmax, x=ns.x)
+    recs = audits.run_audit(ns.id, ns.grid_steps, ns.qmax, ns.x, ns.sieve_limit)
     params = {"id": ns.id, "grid_steps": ns.grid_steps, "qmax": ns.qmax, "x": ns.x}
     n_fail = sum(1 for r in recs if r.verdict == "FAIL")
     payload = {"records": [r.to_json_dict() for r in recs], "n_fail": n_fail}

@@ -113,6 +113,8 @@ class _UnitGroup:
 def _group(q: int) -> _UnitGroup:
     if q < 1:
         raise DomainError("modulus must be >= 1")
+    if q > MAX_VALUE_CELLS:  # not even one value row fits: refused before any array
+        raise ResourceBudgetError("modulus %d exceeds the %d-cell budget" % (q, MAX_VALUE_CELLS))
     return _UnitGroup(q)
 
 
@@ -479,5 +481,4 @@ def survey(q_max: int) -> List[SurveyRecord]:
                     ratio=ratio,
                 )
             )
-    records.sort(key=lambda r: (r.q, r.char_index))
     return records

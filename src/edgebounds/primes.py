@@ -125,24 +125,24 @@ def prime_power_grid(tbl: PrimeTable, x: float):
     return out
 
 
-def _flat_grid(tbl: PrimeTable, x: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log p, p^k, k) over every p^k <= x, flat in prime_power_grid order.
+def flat_prime_powers(grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log p, p^k, k) over a prime_power_grid, flat in its order.
 
-    log p and p^k are float64, k is int64.
+    log p is float64; p^k and k are int64, and p^k <= MAX_SIEVE_LIMIT keeps
+    p^k and k p^k exact as float64.
     """
-    grid = prime_power_grid(tbl, x)
     if not grid:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     p, pk, k = (
         np.concatenate(seg)
-        for seg in zip(*((p, pk, np.full(p.size, k)) for p, pk, k in grid))
+        for seg in zip(*((p, pk, np.full(p.size, k, dtype=np.int64)) for p, pk, k in grid))
     )
-    return np.log(p.astype(np.float64)), pk.astype(np.float64), k
+    return np.log(p.astype(np.float64)), pk, k
 
 
 def psi_total(tbl: PrimeTable, x: float) -> float:
     """Sum of log p over prime powers p^k <= x."""
-    return _kernel.exact_sum(_flat_grid(tbl, x)[0])
+    return _kernel.exact_sum(flat_prime_powers(prime_power_grid(tbl, x))[0])
 
 
 def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
@@ -156,7 +156,7 @@ def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
     xf = float(x)
     if not xf > 1.0:
         raise DomainError("need x > 1, got %r" % (x,))
-    lp, pk, _k = _flat_grid(tbl, x)
+    lp, pk, _k = flat_prime_powers(prime_power_grid(tbl, x))
     lhs = _kernel.exact_sum(lp * (1.0 / pk - 1.0 / xf))
 
     base = math.log(xf) - (1.0 + EULER_GAMMA) - trivial_zero_tail(xf).value
@@ -181,7 +181,7 @@ def smoothed_sum_log(tbl: PrimeTable, x: float) -> dict:
     if xf < math.e:
         raise DomainError("need x >= e, got %r" % (x,))
     logx = math.log(xf)
-    lp, pk, k = _flat_grid(tbl, x)
+    lp, pk, k = flat_prime_powers(prime_power_grid(tbl, x))
     lhs = _kernel.exact_sum((1.0 - k * lp / logx) / (k * pk))
 
     window = 2.0 * abs(B_ZERO_SUM) / (math.sqrt(xf) * logx * logx) + 1.0 / (
@@ -205,7 +205,7 @@ def alternating_prime_power_sum(tbl: PrimeTable, x: float) -> float:
     xf = float(x)
     if xf < 2.0:
         raise DomainError("need x >= 2, got %r" % (x,))
-    lp, pk, k = _flat_grid(tbl, x)  # refuses x beyond the table first
+    lp, pk, k = flat_prime_powers(prime_power_grid(tbl, x))  # refuses x beyond the table first
     if xf == math.floor(xf) and is_prime_power(int(xf)):
         raise DomainError("x=%r is a prime power" % (x,))
 

@@ -64,25 +64,19 @@ _SHIFT_RADIUS = 10.0
 
 
 def digamma(z: Number) -> SeriesValue:
-    """Logarithmic derivative of the gamma function at complex z.
+    """Logarithmic derivative of the gamma function at complex z, Re z > 0.
 
-    Upward recurrence moves the argument to |z| >= 10 (after reflection when
-    Re z < 0), then the Bernoulli asymptotic series truncated at the eighth
-    term is applied. Absolute error stays below 1e-13 away from poles.
-    _chandee_margins replays these steps on arrays, bit for bit, for Re z >= 0.
+    Upward recurrence moves the argument to |z| >= 10, then the Bernoulli
+    asymptotic series truncated at the eighth term is applied. Absolute
+    error stays below 1e-13 away from the pole at 0. Any other z, nan
+    included, raises DomainError.
+    _chandee_margins replays these steps on arrays, bit for bit.
     """
     w = complex(z)
-    if w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real):
-        raise DomainError("digamma pole at nonpositive integer %r" % (z,))
+    if not w.real > 0.0:
+        raise DomainError("digamma needs Re z > 0, got %r" % (z,))
 
     err_scale = 0.0
-    reflect = 0.0 + 0.0j
-    if w.real < 0.0:
-        # psi(w) = psi(1 - w) - pi / tan(pi w)
-        reflect = -PI / cmath.tan(PI * w)
-        err_scale += abs(reflect)
-        w = 1.0 - w
-
     acc = 0.0 + 0.0j
     while abs(w) < _SHIFT_RADIUS:
         step = 1.0 / w
@@ -97,7 +91,7 @@ def digamma(z: Number) -> SeriesValue:
         series += c * power
         power *= inv2
     logw = cmath.log(w)
-    val = logw + reflect + acc - 0.5 / w - series
+    val = logw + acc - 0.5 / w - series
 
     trunc = _ASYMP_NEXT * abs(w) ** -18.0
     abs_error = trunc + 2e-16 * (abs(val) + err_scale + abs(logw)) + 4e-18
@@ -119,6 +113,9 @@ def _cos_log_sin(q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _ROW_BLOCK = 1 << 13  # matrix cells digamma_rational builds at once
 
+# closed-form terms one digamma_rational call may sum: a whole row at q = 20,000
+MAX_DIGAMMA_TERMS = 2 * 10 ** 8
+
 
 def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
     """Digamma at the rational point a/q via the finite cosine-log formula.
@@ -135,7 +132,9 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
     a may be a 1-D integer array: the value is then a frozen float64 array,
     entry for entry the scalar result, and abs_error the largest entry
     bound. Its terms are built a block of rows at a time, so the working
-    memory stays near _ROW_BLOCK cells at any q.
+    memory stays near _ROW_BLOCK cells at any q. A call of more than
+    MAX_DIGAMMA_TERMS terms, 3 + (q - 1)//2 per value, raises
+    ResourceBudgetError before any is built.
     """
     scalar = isinstance(a, (int, np.integer))
     if not (scalar or isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
@@ -147,6 +146,11 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
         raise DomainError("need 1 <= a <= q, got a=%r q=%r" % (a, q))
     a_arr = np.array([a] if scalar else a, dtype=np.int64)
     q = int(q)
+    if a_arr.size * (3 + (q - 1) // 2) > MAX_DIGAMMA_TERMS:
+        raise ResourceBudgetError(
+            "%d digamma values at denominator %d exceed the %d-term budget"
+            % (a_arr.size, q, MAX_DIGAMMA_TERMS)
+        )
 
     cot = [0.0 if 2 * k == q else -(PI / 2.0) / math.tan(PI * k / q) for k in a_arr.tolist()]
     n, cos_tab, log_sin = _cos_log_sin(q)

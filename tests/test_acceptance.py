@@ -159,8 +159,8 @@ def test_dirichlet_oracle_equivalence():
     assert time.perf_counter() - t0 <= 60.0
 
 
-def test_window_containment_full_sweep(table6):
-    recs = run_audit("window", tbl=table6, q_max=50, x=1e5)
+def test_window_containment_full_sweep():
+    recs = run_audit("window", q_max=50, x=1e5, sieve_limit=10**6)
     assert len(recs) == 470
     assert all(r.verdict == "PASS" for r in recs)
 

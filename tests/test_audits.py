@@ -10,7 +10,6 @@ from edgebounds import (
     DomainError,
     LFunctionInstance,
     ResourceBudgetError,
-    b_constant,
     build_table,
     chandee_margin,
     dirichlet_instance,
@@ -28,7 +27,6 @@ from edgebounds import (
 from edgebounds import audits
 from edgebounds.audits import (
     AUDIT_IDS,
-    TABLE_AUDIT_IDS,
     AuditRecord,
     Interval,
     _DEFAULT_KAPPA_GRID,
@@ -36,6 +34,7 @@ from edgebounds.audits import (
     _kappa_term,
     _window_weights,
 )
+from edgebounds.constants import B_ZERO_SUM
 from edgebounds.primes import prime_power_grid
 
 
@@ -44,7 +43,6 @@ def test_audit_id_registry():
         "trig", "p2", "hmax", "logratio", "techlem1", "techlem2",
         "chandee", "bconst", "lemma24", "lemma26", "aterms", "window",
     )
-    assert TABLE_AUDIT_IDS == ("lemma24", "lemma26", "window")
     with pytest.raises(DomainError):
         run_audit("nonesuch")
 
@@ -221,14 +219,14 @@ def test_b_constant_audit():
     (rec,) = run_audit("bconst")
     assert rec.verdict == "PASS"
     want = 0.5 * math.log(4.0 * math.pi) - 1.0 - 0.5 * float(mpmath.euler)
-    assert b_constant() == pytest.approx(want, rel=1e-14)
+    assert B_ZERO_SUM == pytest.approx(want, rel=1e-14)
     assert rec.lhs == pytest.approx(-0.023095708966121065, rel=1e-13)
     assert rec.params["negative"] is True
     assert rec.params["two_abs_B"] == pytest.approx(0.04619141793224213, rel=1e-13)
 
 
-def test_lemma24_verdict_pattern(table6):
-    recs = run_audit("lemma24", tbl=table6)
+def test_lemma24_verdict_pattern():
+    recs = run_audit("lemma24", sieve_limit=10**6)
     key = [(r.params["x"], r.params["variant"], r.verdict) for r in recs]
     assert key == [
         (100.0, "two_pi", "FAIL"),
@@ -246,8 +244,8 @@ def test_lemma24_verdict_pattern(table6):
     assert first.window == pytest.approx(0.004619141793224213, rel=1e-13)
 
 
-def test_lemma26_verdict_pattern(table6):
-    recs = run_audit("lemma26", tbl=table6)
+def test_lemma26_verdict_pattern():
+    recs = run_audit("lemma26", sieve_limit=10**6)
     key = [(r.params["x"], r.params["variant"], r.verdict) for r in recs]
     assert key == [
         (10000.0, "minus_gamma", "FAIL"),
@@ -289,8 +287,8 @@ def test_a_terms_validation():
         a_terms_audit("upper", 1, 1, (), 100.0)  # below the x floor
 
 
-def test_window_records_frozen_small_moduli(table6):
-    recs = run_audit("window", tbl=table6, q_max=8, x=1e5)
+def test_window_records_frozen_small_moduli():
+    recs = run_audit("window", q_max=8, x=1e5, sieve_limit=10**6)
     assert len(recs) == 12
     assert all(r.verdict == "PASS" for r in recs)
     by_key = {(r.params["q"], r.params["char_index"]): r for r in recs}
@@ -344,8 +342,10 @@ def test_window_prime_sums_equal_per_prime_reference(table6, q):
         for chi in chars if x <= 1e5 else chars[:2]:
             inst = dirichlet_instance(chi)
             want = _per_prime_prime_sums(inst, table6, x)
-            assert _instance_prime_sums(inst, table6, x) == want
-            assert _instance_prime_sums(inst, table6, x, weights) == want
+            assert _instance_prime_sums(inst, weights) == want
+            # the window builds the same weights itself when none are given
+            iv = explicit_formula_window(inst, table6, x)
+            assert iv == explicit_formula_window(inst, table6, x, weights)
 
 
 def test_window_rejects_bad_or_missing_coefficients(table4):
@@ -361,10 +361,10 @@ def test_window_rejects_bad_or_missing_coefficients(table4):
         explicit_formula_window(shape_only, table4, 1000.0)
 
 
-def test_window_audit_sizes_its_own_table_for_fractional_x(table6):
+def test_window_audit_sizes_its_own_table_for_fractional_x():
     recs = run_audit("window", q_max=5, x=10000.5)
     assert len(recs) == 5 and all(r.verdict == "PASS" for r in recs)
-    ref = run_audit("window", tbl=table6, q_max=5, x=10000.5)
+    ref = run_audit("window", q_max=5, x=10000.5, sieve_limit=10**6)
     assert [r.to_json_dict() for r in recs] == [r.to_json_dict() for r in ref]
 
 

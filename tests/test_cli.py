@@ -7,12 +7,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from edgebounds import _kernel, audits, cli, dirichlet, primes, run_audit
+from edgebounds import _kernel, audits, cli, dirichlet, primes, run_audit, special
 from edgebounds.cli import run
 from edgebounds.errors import ResourceBudgetError
 
@@ -298,6 +299,19 @@ def test_window_sweep_trace_contract():
     code, rep = _traced(["dirichlet", "l1", "--q", "397", "--index", "5"])
     assert code == 0
     assert rep.get("dirichlet.enumerate_characters.calls", 0) == 0
+    # each audit that reads primes builds its one table, sized by
+    # --sieve-limit when given; the others ignore the option
+    for argv, entries in (
+        (["audit", "--id", "lemma24"], 1000001),
+        (["audit", "--id", "lemma26", "--sieve-limit", "2000000"], 2000001),
+        (["audit", "--id", "trig", "--sieve-limit", "5000"], 0),
+        (["audit", "--id", "window", "--qmax", "5", "--x", "1000", "--sieve-limit", "4000"], 4001),
+    ):
+        code, rep = _traced(argv)
+        assert code in (0, 1), argv
+        assert rep.get("primes.build_table.calls", 0) == (1 if entries else 0), argv
+        assert rep["primes.sieve_entries"] == entries, argv
+    assert rep["primes.prime_power_grid.calls"] == 1
 
 
 @pytest.mark.parametrize(
@@ -407,22 +421,53 @@ def test_grid_budget_exit_two_before_any_array(monkeypatch, audit_id):
 
 
 def test_value_matrix_budget_exit_two_before_any_array(monkeypatch):
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("a value matrix was requested")
-
-    monkeypatch.setattr(dirichlet.np, "zeros", no_matrix)
     # 10,005 primitive characters mod the prime 10007: 1.6 GB of values
     for argv in (["dirichlet", "l1", "--q", "10007"], ["window", "--q", "10007"]):
-        code, text, err = cap(argv)
+        tracemalloc.start()
+        try:
+            code, text, err = cap(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2 and text == "", argv
         assert err.startswith("error: ") and "cell budget" in err, argv
-    monkeypatch.undo()
+        assert peak < 64 * 2 ** 20, argv
     # the 4 x 5 matrix of the characters mod 5 is 20 cells
     monkeypatch.setattr(dirichlet, "MAX_VALUE_CELLS", 20)
     assert len(dirichlet.enumerate_characters(5)) == 4
     monkeypatch.setattr(dirichlet, "MAX_VALUE_CELLS", 19)
     with pytest.raises(ResourceBudgetError, match="cell budget"):
         dirichlet.enumerate_characters(5)
+
+
+def test_modulus_and_digamma_row_budgets_exit_two_before_the_work(monkeypatch):
+    def no_group(q):
+        raise AssertionError("built the unit group mod %d" % (q,))
+
+    # no value row of length q fits the budget: the group is never built
+    monkeypatch.setattr(dirichlet, "_UnitGroup", no_group)
+    for argv in (
+        ["window", "--q", "99999999999", "--index", "0", "--x", "200"],
+        ["dirichlet", "l1", "--q", "10000019", "--index", "1"],
+    ):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error: modulus ") and err.count("\n") == 1, argv
+    monkeypatch.undo()
+
+    def no_tables(q):
+        raise AssertionError("built the digamma tables of q = %d" % (q,))
+
+    # psi(a/q) for a < q = 1000003 is 5e11 closed-form terms, hours of work
+    monkeypatch.setattr(special, "_cos_log_sin", no_tables)
+    for argv in (
+        ["dirichlet", "l1", "--q", "1000003", "--index", "1"],
+        ["window", "--q", "1000003", "--index", "1"],
+    ):
+        code, text, err = cap(argv)
+        assert code == 2 and text == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "term budget" in err, argv
 
 
 def test_primesums_document():

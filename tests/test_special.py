@@ -52,6 +52,12 @@ def test_digamma_recurrence():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, -1.0 + 2.0j, math.nan, complex(-0.0, 3.0)])
+def test_digamma_needs_positive_real_part(bad):
+    with pytest.raises(DomainError, match="Re z > 0"):
+        digamma(bad)
+
+
 def test_digamma_rational_closed_form_matches_mpmath():
     for q in range(1, 13):
         for a in range(1, q + 1):
@@ -123,6 +129,23 @@ def test_digamma_rational_row_working_memory_is_bounded():
         tracemalloc.stop()
     assert row.value.shape == (q - 1,)
     assert peak < 4 * 2 ** 20
+
+
+def test_digamma_rational_term_budget(monkeypatch):
+    def no_tables(q):
+        raise AssertionError("built the tables of q = %d" % (q,))
+
+    monkeypatch.setattr(special, "_cos_log_sin", no_tables)
+    # the row of q = 20,011 is past the default budget: refused before any table
+    with pytest.raises(ResourceBudgetError, match="term budget"):
+        digamma_rational(np.arange(1, 20011), 20011)
+    # the row a = 1..6 of q = 7 is 6 x (3 + 3) = 36 closed-form terms
+    monkeypatch.setattr(special, "MAX_DIGAMMA_TERMS", 35)
+    with pytest.raises(ResourceBudgetError, match="term budget"):
+        digamma_rational(np.arange(1, 7), 7)
+    monkeypatch.undo()
+    monkeypatch.setattr(special, "MAX_DIGAMMA_TERMS", 36)
+    assert digamma_rational(np.arange(1, 7), 7).value.shape == (6,)
 
 
 def test_kappa_series_direct_frozen_values():
