@@ -18,7 +18,7 @@ from edgebounds import (
     smoothed_sum_linear,
     smoothed_sum_log,
 )
-from edgebounds.primes import MAX_SIEVE_LIMIT, WeightedSumResult, factorize
+from edgebounds.primes import MAX_SIEVE_LIMIT, WeightedSumResult, factorize, flat_prime_powers
 
 
 def _naive_spf(n):
@@ -102,6 +102,13 @@ def test_prime_power_grid_structure(table4):
     p1, pk1, _ = blocks[0]
     assert np.array_equal(p1, pk1)
     assert len(p1) == 25
+    # the flat form keeps the grid order, with p^k and k as integers
+    lp, pk, k = flat_prime_powers(blocks)
+    assert (lp.dtype, pk.dtype, k.dtype) == (np.float64, np.int64, np.int64)
+    assert pk.tolist() == [v for _, pks, _ in blocks for v in pks.tolist()]
+    assert k.tolist() == [kk for ps, _, kk in blocks for _ in ps]
+    assert np.array_equal(lp, np.log([float(p) for ps, _, _ in blocks for p in ps]))
+    assert [a.dtype for a in flat_prime_powers([])] == [np.float64, np.int64, np.int64]
 
 
 def test_psi_total_frozen(table6):
