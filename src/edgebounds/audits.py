@@ -102,7 +102,7 @@ def _margin_record(audit_id: str, params: dict, lhs: float, rhs: float, margin: 
 
 
 # cells of one grid: a float64 array in trig, p2, hmax and logratio (80 MB
-# each), the points chandee walks in blocks, the lattice techlem2 loops over
+# each), whose size --grid-steps sets
 MAX_GRID_CELLS = 10 ** 7
 
 
@@ -114,10 +114,14 @@ def _check_grid(rows: int, cols: int) -> None:
         )
 
 
-def _r_theta_grid(r_steps: int, theta_steps: int):
+_R_STEPS = 200  # r-values of the trig and p2 grids
+_TRIG_K_MAX = 20  # trig scans k = 1.._TRIG_K_MAX
+
+
+def _r_theta_grid(theta_steps: int):
     """(r, theta, cos theta): r in (0, 1] down a column, theta in [0, 2 pi) along a row."""
-    _check_grid(r_steps, theta_steps)
-    r = np.linspace(1.0 / r_steps, 1.0, r_steps)[:, None]
+    _check_grid(_R_STEPS, theta_steps)
+    r = np.linspace(1.0 / _R_STEPS, 1.0, _R_STEPS)[:, None]
     th = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)[None, :]
     return r, th, np.cos(th)
 
@@ -126,17 +130,13 @@ def _r_theta_grid(r_steps: int, theta_steps: int):
 # grid inequalities
 
 
-def verify_trig_inequality(
-    k_max: int = 20, r_steps: int = 200, theta_steps: int = 512
-) -> AuditRecord:
-    """min over k <= k_max, r in (0,1], theta of k^2(1-r cos t) - (1-r^k cos kt)."""
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    r, th, cos_th = _r_theta_grid(r_steps, theta_steps)
+def verify_trig_inequality(theta_steps: int = 512) -> AuditRecord:
+    """min over k <= 20, r in (0,1], theta of k^2(1-r cos t) - (1-r^k cos kt)."""
+    r, th, cos_th = _r_theta_grid(theta_steps)
     min_margin = math.inf
     argk = 1
     min_slack = math.inf
-    for k in range(1, k_max + 1):
+    for k in range(1, _TRIG_K_MAX + 1):
         margin = k * k * (1.0 - r * cos_th) - (1.0 - r ** k * np.cos(k * th))
         m = float(margin.min())
         if m < min_margin:
@@ -145,8 +145,8 @@ def verify_trig_inequality(
             slack = k * k - 1.0 - (r ** k + r)
             min_slack = min(min_slack, float(slack.min()))
     params = {
-        "k_max": k_max,
-        "r_steps": r_steps,
+        "k_max": _TRIG_K_MAX,
+        "r_steps": _R_STEPS,
         "theta_steps": theta_steps,
         "worst_k": argk,
         "min_slack_k_ge_2": min_slack,
@@ -154,9 +154,7 @@ def verify_trig_inequality(
     return _margin_record("trig", params, min_margin, 0.0, min_margin)
 
 
-def verify_p2_positivity(
-    x: float, r_steps: int = 200, theta_steps: int = 512
-) -> AuditRecord:
+def verify_p2_positivity(x: float, theta_steps: int = 512) -> AuditRecord:
     """Nonnegativity of the alternating p=2 block after the k>=6 swap.
 
     Exact terms for k <= 5; even k >= 6 replaced by their worst case
@@ -173,8 +171,8 @@ def verify_p2_positivity(
     w = [1.0 / (2.0 ** k * k * LOG_2) - 1.0 / (xf * math.log(xf)) for k in range(1, kk + 1)]
     if min(w) <= 0.0:
         raise DomainError("weights not positive at x=%r" % (x,))
-    r, th, cos_th = _r_theta_grid(r_steps, theta_steps)
-    obj = np.zeros((r_steps, theta_steps))
+    r, th, cos_th = _r_theta_grid(theta_steps)
+    obj = np.zeros((_R_STEPS, theta_steps))
     for k in range(1, min(5, kk) + 1):
         sgn = 1.0 if k % 2 == 1 else -1.0
         obj += sgn * (1.0 - r ** k * np.cos(k * th)) * w[k - 1]
@@ -187,7 +185,7 @@ def verify_p2_positivity(
     params = {
         "x": xf,
         "k_cut": kk,
-        "r_steps": r_steps,
+        "r_steps": _R_STEPS,
         "theta_steps": theta_steps,
         "argmin_r": float(r[i, 0]),
         "argmin_theta": float(th[0, j]),
@@ -195,13 +193,12 @@ def verify_p2_positivity(
     return _margin_record("p2", params, mn, 0.0, mn)
 
 
-def verify_techlem2_grid(
-    re_steps: int = 25, im_steps: int = 20, x_steps: int = 20
-) -> AuditRecord:
+_TECHLEM2_STEPS = (25, 20, 20)  # (Re kappa, Im kappa, x) lattice sizes
+
+
+def verify_techlem2_grid() -> AuditRecord:
     """ratio |(x^-k - 1)/(k(k+1))| log3/(2 log x) <= 1 on a fixed lattice."""
-    if re_steps < 1 or im_steps < 1 or x_steps < 1:
-        raise DomainError("need at least one grid step per axis")
-    _check_grid(re_steps * im_steps, x_steps)
+    re_steps, im_steps, x_steps = _TECHLEM2_STEPS
     res = np.linspace(0.0, 10.0, re_steps)
     ims = np.linspace(-10.0, 10.0, im_steps)
     xs = np.geomspace(1.01, 1e6, x_steps)
@@ -225,21 +222,18 @@ def verify_techlem2_grid(
     return _margin_record("techlem2", params, worst, 1.0, 1.0 - worst)
 
 
+_CHANDEE_STEPS = (200, 200)  # (Re z, Im z) lattice sizes
 # grid cells verify_chandee_grid evaluates at once (one row if a row is longer)
 _CHANDEE_BLOCK = 1 << 12
 
 
-def verify_chandee_grid(
-    re_steps: int = 200, im_steps: int = 200
-) -> AuditRecord:
+def verify_chandee_grid() -> AuditRecord:
     """log|z| - Re psi(z) >= 0 on Re z in [1/4, 20], |Im z| <= 50.
 
     The grid is walked a block of whole rows at a time; argmin is the first
     smallest margin in row-major order.
     """
-    if re_steps < 1 or im_steps < 1:
-        raise DomainError("need at least one grid step per axis")
-    _check_grid(re_steps, im_steps)
+    re_steps, im_steps = _CHANDEE_STEPS
     res = np.linspace(0.25, 20.0, re_steps)
     ims = np.linspace(-50.0, 50.0, im_steps)
     rows = max(1, _CHANDEE_BLOCK // im_steps)
@@ -275,22 +269,20 @@ def _logratio_surface(s, t):
     return 0.5 * np.log(((s + 2.0) ** 2 + t2) / ((s + 3.0) ** 2 + t2))
 
 
+_SURFACE_MAX = 1e6  # the extremum grids span sigma in [0, 1e6], |t| <= 1e6
+_REFINE_STEPS = 200  # pattern-search steps after the grid
+
+
 def _pattern_search(
-    fn: Callable[[float, float], float],
-    s0: float,
-    t0: float,
-    step: float,
-    steps: int,
-    maximize: bool,
+    fn: Callable[[float, float], float], s0: float, t0: float, maximize: bool
 ) -> Tuple[float, float, float]:
     sign = 1.0 if maximize else -1.0
     best = sign * fn(s0, t0)
-    for _ in range(steps):
+    step = 0.1
+    for _ in range(_REFINE_STEPS):
         cands = []
         for ds, dt in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            s1 = s0 + ds
-            if s1 < 0.0:
-                s1 = 0.0
+            s1 = max(0.0, s0 + ds)
             t1 = t0 + dt
             cands.append((sign * fn(s1, t1), s1, t1))
         v1, s1, t1 = max(cands)
@@ -301,29 +293,24 @@ def _pattern_search(
     return s0, t0, sign * best
 
 
-def _surface_extremum(surface, sigma_max: float, t_max: float, n: int, refine: int, maximize: bool):
+def _surface_extremum(surface, n: int, maximize: bool):
     """(grid values, best grid value, (s*, t*, refined value)) of surface.
 
-    The n x n grid is tan-spaced over [0, sigma_max] x [-t_max, t_max]; its
-    best point seeds the pattern search.
+    The n x n grid is tan-spaced over sigma in [0, _SURFACE_MAX] and
+    |t| <= _SURFACE_MAX; its best point seeds the pattern search.
     """
     _check_grid(n, n)
-    u = np.linspace(0.0, math.atan(sigma_max), n)
-    v = np.linspace(-math.atan(t_max), math.atan(t_max), n)
-    s, t = np.tan(u)[:, None], np.tan(v)[None, :]
+    edge = math.atan(_SURFACE_MAX)
+    s = np.tan(np.linspace(0.0, edge, n))[:, None]
+    t = np.tan(np.linspace(-edge, edge, n))[None, :]
     vals = surface(s, t)
     i, j = np.unravel_index(np.argmax(vals) if maximize else np.argmin(vals), vals.shape)
     seed = float(s[i, 0]), float(t[0, j])
-    refined = _pattern_search(lambda a, b: float(surface(a, b)), *seed, 0.1, refine, maximize)
+    refined = _pattern_search(lambda a, b: float(surface(a, b)), *seed, maximize)
     return vals, float(vals[i, j]), refined
 
 
-def extremum_h(
-    sigma_max: float = 1e6,
-    t_max: float = 1e6,
-    grid_steps: int = 512,
-    refine_steps: int = 200,
-) -> AuditRecord:
+def extremum_h(grid_steps: int = 512) -> AuditRecord:
     """Global max of the two-fraction surface over sigma >= 0.
 
     Asserts the direction the derivation uses (max <= 0.2143594 + 1e-9)
@@ -335,9 +322,7 @@ def extremum_h(
     closed form rounded up. The printed bracket [0.19, 0.21] for the same
     maximum does not hold: its upper end is exceeded by about 4.36e-3.
     """
-    vals, grid_max, (s_star, t_star, vmax) = _surface_extremum(
-        _h_surface, sigma_max, t_max, grid_steps, refine_steps, maximize=True
-    )
+    vals, grid_max, (s_star, t_star, vmax) = _surface_extremum(_h_surface, grid_steps, True)
     boundary = max(
         float(np.abs(vals[-1, :]).max()),
         float(np.abs(vals[:, 0]).max()),
@@ -351,7 +336,7 @@ def extremum_h(
             "sigma_star": s_star,
             "t_star": t_star,
             "grid_steps": grid_steps,
-            "refine_steps": refine_steps,
+            "refine_steps": _REFINE_STEPS,
             "boundary_abs_max": boundary,
             "grid_max": grid_max,
         },
@@ -363,16 +348,9 @@ def extremum_h(
     )
 
 
-def extremum_logratio(
-    sigma_max: float = 1e6,
-    t_max: float = 1e6,
-    grid_steps: int = 512,
-    refine_steps: int = 200,
-) -> AuditRecord:
+def extremum_logratio(grid_steps: int = 512) -> AuditRecord:
     """Global min of the half-log ratio surface: log(2/3) at the origin."""
-    _vals, _grid_min, (s_star, t_star, vmin) = _surface_extremum(
-        _logratio_surface, sigma_max, t_max, grid_steps, refine_steps, maximize=False
-    )
+    _, _, (s_star, t_star, vmin) = _surface_extremum(_logratio_surface, grid_steps, False)
     target = math.log(2.0 / 3.0)
     at_origin = abs(s_star) + abs(t_star) <= 1e-6
     ok = abs(vmin - target) <= 1e-9 and at_origin
@@ -382,7 +360,7 @@ def extremum_logratio(
             "sigma_star": s_star,
             "t_star": t_star,
             "grid_steps": grid_steps,
-            "refine_steps": refine_steps,
+            "refine_steps": _REFINE_STEPS,
             "argmin_at_origin": at_origin,
         },
         lhs=vmin,
@@ -397,7 +375,7 @@ def extremum_logratio(
 # identities and constants
 
 
-_DEFAULT_KAPPA_GRID: Tuple[complex, ...] = (
+_KAPPA_GRID: Tuple[complex, ...] = (
     0j,
     0.5 + 0j,
     1 + 0j,
@@ -411,6 +389,7 @@ _DEFAULT_KAPPA_GRID: Tuple[complex, ...] = (
     3 + 4j,
     10 + 10j,
 )
+_TAIL_TOL = 1e-15  # the direct series' tail bound at each point of _KAPPA_GRID
 
 
 def _kappa_term(kap: complex) -> float:
@@ -418,10 +397,7 @@ def _kappa_term(kap: complex) -> float:
     return complex(digamma(kap + 2).value - digamma((kap + 3) / 2).value).real
 
 
-def identity_residual_techlem1(
-    kappa_grid: Optional[Sequence[Number]] = None,
-    tail_tol: float = 1e-15,
-) -> AuditRecord:
+def identity_residual_techlem1() -> AuditRecord:
     """Closed form minus direct series for the local-parameter sum.
 
     Each point also carries the digamma form of the sum and the direct
@@ -430,18 +406,17 @@ def identity_residual_techlem1(
     at the origin). The verdict is always REPORT: lhs is the largest
     |closed - direct| on the grid.
     """
-    grid = tuple(kappa_grid) if kappa_grid is not None else _DEFAULT_KAPPA_GRID
     points = []
     worst = 0.0
-    for kap in grid:
-        direct = kappa_series_direct(kap, tail_tol=tail_tol)
+    for kap in _KAPPA_GRID:
+        direct = kappa_series_direct(kap, tail_tol=_TAIL_TOL)
         closed = kappa_series_closed(kap)
-        via_digamma = _kappa_term(complex(kap))
+        via_digamma = _kappa_term(kap)
         resid = closed - direct.value
         worst = max(worst, abs(resid))
         points.append(
             {
-                "kappa": complex(kap),
+                "kappa": kap,
                 "direct": direct.value,
                 "closed": closed,
                 "residual": resid,
@@ -451,7 +426,7 @@ def identity_residual_techlem1(
         )
     return AuditRecord(
         id="techlem1",
-        params={"points": points, "tail_tol": tail_tol},
+        params={"points": points, "tail_tol": _TAIL_TOL},
         lhs=worst,
         rhs=0.0,
         window=0.0,

@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Callable, List, Optional, Tuple
 
-from . import audits, bounds, dirichlet, primes
+from . import audits, bounds, dirichlet, primes, special
 from ._jsonio import dumps_report, json_ready
 from .errors import DomainError, EdgeboundsError
 
@@ -111,6 +111,11 @@ def _check_sieve_limit(limit: Optional[int]) -> None:
 
 
 def _selected_chars(q: int, index: Optional[int]):
+    # each L(1, chi) reads the psi row a = 1..q-1: refuse it before the group is
+    # built, unless q = 2 mod 4, where no character is primitive and no row is made
+    dirichlet.check_modulus(q)
+    if q % 4 != 2:
+        special.check_digamma_terms(q - 1, q)
     if index is None:
         return [
             c

@@ -11,16 +11,12 @@ import math
 # Primary constants, 30 significant digits.
 PI: float = 3.14159265358979323846264338328
 TWO_PI: float = 6.28318530717958647692528676656
-E: float = 2.71828182845904523536028747135
 EULER_GAMMA: float = 0.577215664901532860606512090082
 LOG_2: float = 0.693147180559945309417232121458
 LOG_3: float = 1.09861228866810969139524523692
-LOG_4: float = 1.38629436111989061883446424292
 LOG_PI: float = 1.14472988584940017414342735135
 LOG_2PI: float = 1.83787706640934548356065947281
 LOG_4PI: float = 2.53102424696929079297789159427
-ZETA_2: float = 1.64493406684822643647241516665  # pi^2 / 6
-LOG_ZETA_2: float = 0.497700302470745347474377344325
 
 # Real part of the zero-reciprocal sum for the completed zeta function,
 # 0.5*log(4*pi) - 1 - gamma/2. Thirty-digit reference:

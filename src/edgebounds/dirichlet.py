@@ -109,12 +109,17 @@ class _UnitGroup:
         self.dlog = np.concatenate([np.empty((self.units.size, 0), dtype=np.int64)] + cols, axis=1)
 
 
-@lru_cache(maxsize=None)
-def _group(q: int) -> _UnitGroup:
+def check_modulus(q: int) -> None:
+    """Refuse q < 1, and a q whose one value row is past MAX_VALUE_CELLS."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    if q > MAX_VALUE_CELLS:  # not even one value row fits: refused before any array
+    if q > MAX_VALUE_CELLS:
         raise ResourceBudgetError("modulus %d exceeds the %d-cell budget" % (q, MAX_VALUE_CELLS))
+
+
+@lru_cache(maxsize=None)
+def _group(q: int) -> _UnitGroup:
+    check_modulus(q)  # refused before any array
     return _UnitGroup(q)
 
 

@@ -117,6 +117,13 @@ _ROW_BLOCK = 1 << 13  # matrix cells digamma_rational builds at once
 MAX_DIGAMMA_TERMS = 2 * 10 ** 8
 
 
+def check_digamma_terms(count: int, q: int) -> None:
+    """Refuse count digamma_rational values at denominator q past MAX_DIGAMMA_TERMS terms."""
+    if count * (3 + (q - 1) // 2) > MAX_DIGAMMA_TERMS:
+        msg = "%d digamma values at denominator %d exceed the %d-term budget"
+        raise ResourceBudgetError(msg % (count, q, MAX_DIGAMMA_TERMS))
+
+
 def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
     """Digamma at the rational point a/q via the finite cosine-log formula.
 
@@ -134,7 +141,7 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
     bound. Its terms are built a block of rows at a time, so the working
     memory stays near _ROW_BLOCK cells at any q. A call of more than
     MAX_DIGAMMA_TERMS terms, 3 + (q - 1)//2 per value, raises
-    ResourceBudgetError before any is built.
+    ResourceBudgetError (check_digamma_terms) before any is built.
     """
     scalar = isinstance(a, (int, np.integer))
     if not (scalar or isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
@@ -146,11 +153,7 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
         raise DomainError("need 1 <= a <= q, got a=%r q=%r" % (a, q))
     a_arr = np.array([a] if scalar else a, dtype=np.int64)
     q = int(q)
-    if a_arr.size * (3 + (q - 1) // 2) > MAX_DIGAMMA_TERMS:
-        raise ResourceBudgetError(
-            "%d digamma values at denominator %d exceed the %d-term budget"
-            % (a_arr.size, q, MAX_DIGAMMA_TERMS)
-        )
+    check_digamma_terms(a_arr.size, q)
 
     cot = [0.0 if 2 * k == q else -(PI / 2.0) / math.tan(PI * k / q) for k in a_arr.tolist()]
     n, cos_tab, log_sin = _cos_log_sin(q)

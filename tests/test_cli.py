@@ -455,19 +455,34 @@ def test_modulus_and_digamma_row_budgets_exit_two_before_the_work(monkeypatch):
         assert err.startswith("error: modulus ") and err.count("\n") == 1, argv
     monkeypatch.undo()
 
-    def no_tables(q):
-        raise AssertionError("built the digamma tables of q = %d" % (q,))
+    def no_work(*args):
+        raise AssertionError("built the unit group, a prime table or the digamma tables")
 
-    # psi(a/q) for a < q = 1000003 is 5e11 closed-form terms, hours of work
-    monkeypatch.setattr(special, "_cos_log_sin", no_tables)
+    # psi(a/q) for a < q = 1000003 is 5e11 closed-form terms, hours of work; the
+    # row is refused before the unit group, the sieve or the cosine table is built
+    monkeypatch.setattr(special, "_cos_log_sin", no_work)
+    monkeypatch.setattr(dirichlet, "_UnitGroup", no_work)
+    monkeypatch.setattr(primes, "build_table", no_work)
     for argv in (
         ["dirichlet", "l1", "--q", "1000003", "--index", "1"],
         ["window", "--q", "1000003", "--index", "1"],
+        ["dirichlet", "l1", "--q", "1000003"],
+        ["window", "--q", "1000003", "--x", "200"],
     ):
         code, text, err = cap(argv)
         assert code == 2 and text == "", argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert "term budget" in err, argv
+        assert err == (
+            "error: 1000002 digamma values at denominator 1000003 exceed the "
+            "200000000-term budget\n"
+        ), argv
+
+
+def test_no_primitive_character_needs_no_psi_row():
+    # q = 2 mod 4 has no primitive character, so a q past the psi-row budget
+    # still prints its empty document
+    code, text, err = cap(["dirichlet", "l1", "--q", "20002"])
+    assert code == 0 and err == ""
+    assert json.loads(text)["characters"] == []
 
 
 def test_primesums_document():

@@ -49,18 +49,35 @@ def _loaded_names(tree):
     return out
 
 
-def test_no_unused_imports_or_private_names():
-    trees = {
+def _package_trees():
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "edgebounds").glob("*.py"))
     }
-    loaded = {name: _loaded_names(tree) for name, tree in trees.items()}
-    # a private name counts as referenced when any module reads or imports it
-    referenced = set().union(*loaded.values())
+
+
+def _referenced(trees):
+    """Every name some module reads, or imports from another by name."""
+    out = set().union(*(_loaded_names(tree) for tree in trees.values()))
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                referenced.update(a.name for a in node.names)
+                out.update(a.name for a in node.names)
+    return out
+
+
+def _assigned_names(node):
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_no_unused_imports_or_private_names():
+    trees = _package_trees()
+    loaded = {name: _loaded_names(tree) for name, tree in trees.items()}
+    # a private name counts as referenced when any module reads or imports it
+    referenced = _referenced(trees)
     unused = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -70,14 +87,22 @@ def test_no_unused_imports_or_private_names():
                     bound = a.asname or a.name.split(".")[0]
                     if bound not in loaded[name]:
                         unused.append((name, "import", bound))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for d in defined:
+            defined = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            for d in defined + _assigned_names(node):
                 if d.startswith("_") and not d.startswith("__") and d not in referenced:
                     unused.append((name, "private", d))
     assert unused == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE constant that no module reads or imports is dead
+    trees = _package_trees()
+    referenced = _referenced(trees)
+    unread = [
+        (name, d)
+        for name, tree in trees.items()
+        for node in tree.body
+        for d in _assigned_names(node)
+        if d.isupper() and d not in referenced
+    ]
+    assert unread == []

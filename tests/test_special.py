@@ -20,7 +20,7 @@ from edgebounds import (
     trivial_zero_tail,
 )
 from edgebounds import special
-from edgebounds.audits import _DEFAULT_KAPPA_GRID
+from edgebounds.audits import _KAPPA_GRID
 from edgebounds.constants import EULER_GAMMA, PI, TWO_PI
 
 mpmath.mp.dps = 30
@@ -195,7 +195,7 @@ def test_kappa_series_direct_within_abs_error_of_mpmath(monkeypatch):
     # an independent oracle: it works with digamma and its constants broken
     monkeypatch.setattr(special, "digamma", None)
     monkeypatch.setattr(special, "_ASYMP_COEFFS", ())
-    for kappa in _DEFAULT_KAPPA_GRID:
+    for kappa in _KAPPA_GRID:
         k = mpmath.mpc(kappa.real, kappa.imag)
         ref = float(mpmath.re(mpmath.digamma(k + 2) - mpmath.digamma((k + 3) / 2)))
         for tol in (1e-6, 1e-10, 1e-13):
