@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernel import exact_sum
 from .constants import B_ZERO_SUM, EULER_GAMMA, LOG_2, LOG_PI, TWO_PI
-from .dirichlet import enumerate_characters, l1_value
+from .dirichlet import check_sweep, enumerate_characters, l1_value
 from .errors import DomainError, ResourceBudgetError
 from .lfunc import LFunctionInstance, dirichlet_instance
 from .primes import (
@@ -674,6 +674,7 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
 
 def _window_audit_records(q_max: int, x: float, sieve_limit: Optional[int]) -> List[AuditRecord]:
     """window_records of 3 <= q <= q_max, on a table sieved to sieve_limit or x."""
+    check_sweep(q_max)
     tbl = build_table(sieve_limit or table_limit(x))
     # a primitive character mod q >= 2 is never principal (conductor 1)
     chars = (

@@ -111,18 +111,19 @@ def _check_sieve_limit(limit: Optional[int]) -> None:
 
 
 def _selected_chars(q: int, index: Optional[int]):
-    # each L(1, chi) reads the psi row a = 1..q-1: refuse it before the group is
-    # built, unless q = 2 mod 4, where no character is primitive and no row is made
+    # q = 2 mod 4 has no primitive character and is answered before the group is
+    # built; any other q first has its psi row a = 1..q-1, read by each L(1, chi), checked
     dirichlet.check_modulus(q)
-    if q % 4 != 2:
-        special.check_digamma_terms(q - 1, q)
+    none_primitive = q % 4 == 2
+    if not none_primitive:
+        special.check_digamma_row(q)
     if index is None:
-        return [
+        return [] if none_primitive else [
             c
             for c in dirichlet.enumerate_characters(q, primitive_only=True)
             if not c.is_principal
         ]
-    chi = dirichlet.primitive_character(q, index)
+    chi = None if none_primitive else dirichlet.primitive_character(q, index)
     if chi is None or chi.is_principal:
         raise EdgeboundsError(
             "no primitive non-principal character mod %d with index %r" % (q, index)

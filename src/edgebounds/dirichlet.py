@@ -194,6 +194,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 MAX_VALUE_CELLS = 10 ** 7
 
 
+def _check_value_cells(rows: int, q: int) -> None:
+    if rows * q > MAX_VALUE_CELLS:
+        msg = "a %d x %d character value matrix exceeds the %d-cell budget"
+        raise ResourceBudgetError(msg % (rows, q, MAX_VALUE_CELLS))
+
+
+def check_sweep(q_max: int) -> None:
+    """Refuse q = 3..q_max at the first primitive value matrix past MAX_VALUE_CELLS (q = 3167)."""
+    for q in range(3, q_max + 1):
+        # primitive characters mod p^e: p - 2 for e = 1, else p^(e-2) (p-1)^2
+        count = math.prod(p - 2 if e == 1 else p ** (e - 2) * (p - 1) ** 2 for p, e in factorize(q))
+        _check_value_cells(count, q)
+
+
 def _characters(g: _UnitGroup, keys: List[_Key]) -> List[DirichletCharacter]:
     """The characters with the given keys, one value-matrix row each.
 
@@ -204,11 +218,7 @@ def _characters(g: _UnitGroup, keys: List[_Key]) -> List[DirichletCharacter]:
     MAX_VALUE_CELLS is refused before any array is made.
     """
     q = g.q
-    if len(keys) * q > MAX_VALUE_CELLS:
-        raise ResourceBudgetError(
-            "a %d x %d character value matrix exceeds the %d-cell budget"
-            % (len(keys), q, MAX_VALUE_CELLS)
-        )
+    _check_value_cells(len(keys), q)
     exps = np.array([k for k, _c, _p in keys], dtype=np.int64).reshape(len(keys), len(g.orders))
     # with no generators (q <= 2, at most one key) the index comes back 0-d
     index = np.ravel_multi_index(exps.T, g.orders).reshape(-1).tolist()
@@ -274,7 +284,7 @@ def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
 @lru_cache(maxsize=None)
 def _psi_row(q: int) -> np.ndarray:
     """psi(a/q) for a = 1..q-1, frozen."""
-    return digamma_rational(np.arange(1, q), q).value
+    return digamma_rational(q).value
 
 
 def l1_value(chi: DirichletCharacter) -> complex:
@@ -455,6 +465,7 @@ def survey(q_max: int) -> List[SurveyRecord]:
     """
     if q_max < 3:
         raise DomainError("survey needs q_max >= 3")
+    check_sweep(q_max)
     records: List[SurveyRecord] = []
     for q in range(3, q_max + 1):
         chars = enumerate_characters(q, primitive_only=True)

@@ -1,7 +1,7 @@
 """Scalar special-function kernels, digamma rows at rationals, Chandee margins.
 
-Digamma (complex, and exact-formula at rationals a/q, for one a or a whole
-array of them), the tail series generated by trivial zeros, and the two
+Digamma (complex, and the exact-formula row at the rationals a/q,
+a = 1..q-1), the tail series generated by trivial zeros, and the two
 series/ratio expressions audited elsewhere in the package. Every result is
 returned as a SeriesValue carrying a rigorous absolute-error estimate that
 downstream consumers propagate. The exponential integral exp1, which only
@@ -21,7 +21,6 @@ AVX-512 machine).
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
@@ -100,34 +99,31 @@ def digamma(z: Number) -> SeriesValue:
     return SeriesValue(val, abs_error)
 
 
-@lru_cache(maxsize=16)
 def _cos_log_sin(q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n = 1..(q-1)//2, cos(2 pi m/q) for m < q and log sin(pi n/q), scalar-built."""
     n = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
     cos_tab = np.array([math.cos(TWO_PI * m / q) for m in range(q)], dtype=np.float64)
     log_sin = np.array([math.log(math.sin(PI * k / q)) for k in n.tolist()], dtype=np.float64)
-    for arr in (n, cos_tab, log_sin):
-        arr.flags.writeable = False
     return n, cos_tab, log_sin
 
 
 _ROW_BLOCK = 1 << 13  # matrix cells digamma_rational builds at once
 
-# closed-form terms one digamma_rational call may sum: a whole row at q = 20,000
+# closed-form terms one digamma_rational row may sum: the whole row at q = 20,000
 MAX_DIGAMMA_TERMS = 2 * 10 ** 8
 
 
-def check_digamma_terms(count: int, q: int) -> None:
-    """Refuse count digamma_rational values at denominator q past MAX_DIGAMMA_TERMS terms."""
-    if count * (3 + (q - 1) // 2) > MAX_DIGAMMA_TERMS:
+def check_digamma_row(q: int) -> None:
+    """Refuse the row psi(a/q), a = 1..q-1, past MAX_DIGAMMA_TERMS closed-form terms."""
+    if (q - 1) * (3 + (q - 1) // 2) > MAX_DIGAMMA_TERMS:
         msg = "%d digamma values at denominator %d exceed the %d-term budget"
-        raise ResourceBudgetError(msg % (count, q, MAX_DIGAMMA_TERMS))
+        raise ResourceBudgetError(msg % (q - 1, q, MAX_DIGAMMA_TERMS))
 
 
-def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
-    """Digamma at the rational point a/q via the finite cosine-log formula.
+def digamma_rational(q: int) -> SeriesValue:
+    """The row psi(a/q), a = 1..q-1, via the finite cosine-log formula.
 
-    Exact closed form for 1 <= a <= q:
+    Exact closed form for 1 <= a < q:
     psi(a/q) = -gamma - log 2q - (pi/2) cot(pi a/q)
                + 2 sum_{n <= (q-1)/2} cos(2 pi n a/q) log sin(pi n/q),
     with the cotangent left out at 2a = q. The cosines and log-sines come
@@ -136,52 +132,38 @@ def digamma_rational(a: Union[int, np.ndarray], q: int) -> SeriesValue:
     a are summed exactly rounded (_kernel.exact_sum), keeping the absolute
     error at the 1e-15 scale for the modulus sizes used in this package.
 
-    a may be a 1-D integer array: the value is then a frozen float64 array,
-    entry for entry the scalar result, and abs_error the largest entry
-    bound. Its terms are built a block of rows at a time, so the working
-    memory stays near _ROW_BLOCK cells at any q. A call of more than
-    MAX_DIGAMMA_TERMS terms, 3 + (q - 1)//2 per value, raises
-    ResourceBudgetError (check_digamma_terms) before any is built.
+    The value is a frozen float64 array, abs_error the largest entry bound.
+    Terms are built a block of rows (near _ROW_BLOCK cells) at a time. A q
+    that is not an integer >= 1 raises DomainError, and a row past
+    MAX_DIGAMMA_TERMS terms ResourceBudgetError (check_digamma_row).
     """
-    scalar = isinstance(a, (int, np.integer))
-    if not (scalar or isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
-        raise DomainError("a must be an integer or a 1-D integer array")
-    if not isinstance(q, (int, np.integer)):
-        raise DomainError("arguments must be integers")
-    if q < 1 or (scalar and not 1 <= a <= q) or (
-            not scalar and a.size and not 1 <= a.min() <= a.max() <= q):
-        raise DomainError("need 1 <= a <= q, got a=%r q=%r" % (a, q))
-    a_arr = np.array([a] if scalar else a, dtype=np.int64)
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise DomainError("digamma_rational needs an integer q >= 1, got %r" % (q,))
     q = int(q)
-    check_digamma_terms(a_arr.size, q)
+    check_digamma_row(q)
 
-    cot = [0.0 if 2 * k == q else -(PI / 2.0) / math.tan(PI * k / q) for k in a_arr.tolist()]
+    cot = [0.0 if 2 * k == q else -(PI / 2.0) / math.tan(PI * k / q) for k in range(1, q)]
     n, cos_tab, log_sin = _cos_log_sin(q)
     rows = max(1, _ROW_BLOCK // (3 + n.size))
-    terms = np.empty((min(rows, a_arr.size), 3 + n.size), dtype=np.float64)
+    terms = np.empty((min(rows, q - 1), 3 + n.size), dtype=np.float64)
     terms[:, 0] = -EULER_GAMMA
     terms[:, 1] = -math.log(2.0 * q)
-    value = np.empty(a_arr.size, dtype=np.float64)
-    for lo in range(0, a_arr.size, rows):
-        hi = min(a_arr.size, lo + rows)
+    value = np.empty(q - 1, dtype=np.float64)
+    for lo in range(0, q - 1, rows):
+        hi = min(q - 1, lo + rows)
         block = terms[:hi - lo]
         block[:, 2] = cot[lo:hi]
-        phase = np.multiply.outer(a_arr[lo:hi], n)
+        phase = np.multiply.outer(np.arange(lo + 1, hi + 1, dtype=np.int64), n)
         phase %= q
         cos_log_sin = block[:, 3:]
         np.take(cos_tab, phase, out=cos_log_sin)
         cos_log_sin *= 2.0
         cos_log_sin *= log_sin
         value[lo:hi] = exact_sum(block)
-    whole = a_arr == q  # psi(1) = -gamma, where the cotangent has its pole
-    value[whole] = -EULER_GAMMA
+    value.flags.writeable = False
     # Rounding grows with the number of cosine-log terms and, near the
     # pole at 0, with the magnitude of the value itself.
     abs_error = min(1e-14, 4e-15 + 1.5e-17 * q) + 4e-16 * np.abs(value)
-    abs_error[whole] = 5e-16
-    if scalar:
-        return SeriesValue(float(value[0]), float(abs_error[0]))
-    value.flags.writeable = False
     return SeriesValue(value, float(abs_error.max(initial=0.0)))
 
 

@@ -477,12 +477,41 @@ def test_modulus_and_digamma_row_budgets_exit_two_before_the_work(monkeypatch):
         ), argv
 
 
-def test_no_primitive_character_needs_no_psi_row():
+def test_no_primitive_character_needs_no_psi_row(monkeypatch):
     # q = 2 mod 4 has no primitive character, so a q past the psi-row budget
     # still prints its empty document
     code, text, err = cap(["dirichlet", "l1", "--q", "20002"])
     assert code == 0 and err == ""
     assert json.loads(text)["characters"] == []
+
+    def no_group(q):
+        raise AssertionError("built the unit group mod %d" % (q,))
+
+    # nor does it build the unit group: mod 9999998 that took 1.2 GB
+    monkeypatch.setattr(dirichlet, "_UnitGroup", no_group)
+    code, text, err = cap(["dirichlet", "l1", "--q", "9999998"])
+    assert (code, err) == (0, "") and json.loads(text)["characters"] == []
+    code, text, err = cap(["window", "--q", "9999998", "--x", "200"])
+    assert (code, err) == (0, "") and json.loads(text)["records"] == []
+    want = "error: no primitive non-principal character mod 9999998 with index 5\n"
+    assert cap(["dirichlet", "l1", "--q", "9999998", "--index", "5"]) == (2, "", want)
+
+
+def test_sweep_past_the_value_budget_exit_two_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("built the unit group or a prime table")
+
+    # the 3165 primitive characters mod the prime 3167 are the first matrix past
+    # the budget; a sweep to it is refused before q = 3 is worked on
+    monkeypatch.setattr(dirichlet, "_UnitGroup", no_work)
+    monkeypatch.setattr(audits, "build_table", no_work)
+    want = "error: a 3165 x 3167 character value matrix exceeds the 10000000-cell budget\n"
+    for argv in (
+        ["dirichlet", "survey", "--qmax", "3167"],
+        ["audit", "--id", "window", "--qmax", "3167"],
+    ):
+        assert cap(argv) == (2, "", want), argv
+    dirichlet.check_sweep(3166)
 
 
 def test_primesums_document():

@@ -199,7 +199,7 @@ def test_shared_value_matrix_is_read_only():
 
 def _l1_value_per_term(chi):
     q = chi.modulus
-    psi = [digamma_rational(a, q).value for a in range(1, q)]
+    psi = digamma_rational(q).value.tolist()
     vt = chi._values
     re = math.fsum(vt[a].real * psi[a - 1] for a in range(1, q))
     im = math.fsum(vt[a].imag * psi[a - 1] for a in range(1, q))
