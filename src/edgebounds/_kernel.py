@@ -1,8 +1,10 @@
 """The two NumPy kernels under the prime tables and the prime sums.
 
-spf_array is a masked-assignment Eratosthenes sieve: for each prime p up to
-sqrt(limit), stamp p into the still-unstamped slots of spf[p*p::p], a fixed
-slice at a time; whatever remains unstamped at the end is prime.
+spf_array is an Eratosthenes sieve over the odd slots: 2 is stamped on every
+even slot, then each odd prime p up to sqrt(limit), largest first, on every
+slot of spf[p*p::2p] by one plain slice assignment. A smaller prime comes
+later and overwrites the slots it shares, so each composite ends with its
+smallest factor; whatever odd slot remains unstamped is prime.
 
 exact_sum is math.fsum along the last axis of a float64 array, bit for bit,
 done in a few whole-array passes (Rump, Ogita and Oishi, "Accurate
@@ -17,7 +19,7 @@ from typing import List, Union
 
 import numpy as np
 
-_SLICE = 1 << 16  # slots stamped or scanned at once; bounds the temporaries
+_SLICE = 1 << 15  # odd slots filled at once; bounds the temporaries
 
 # exact_sum only splits terms and sigmas with magnitudes in this range, so
 # no extraction underflows and no partial sum of fsum can overflow
@@ -26,20 +28,26 @@ _HUGE = 2.0 ** 900
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
+def _odd_primes(n: int) -> np.ndarray:
+    """The odd primes up to n, ascending, from a bool sieve of n + 1 slots."""
+    comp = np.zeros(n + 1, dtype=bool)
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if not comp[p]:
+            comp[p * p:: 2 * p] = True
+    return np.flatnonzero(~comp[3::2]) * 2 + 3
+
+
 def spf_array(limit: int) -> np.ndarray:
     """Smallest prime factor of every n in [0, limit]; 0 below 2."""
     spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[4::2] = 2  # p = 2 meets only unstamped slots
-    for p in range(3, int(limit ** 0.5) + 1, 2):
-        if spf[p] == 0:
-            multiples = spf[p * p:: p]
-            for lo in range(0, multiples.size, _SLICE):
-                block = multiples[lo:lo + _SLICE]
-                block[block == 0] = p
-    for lo in range(2, limit + 1, _SLICE):
-        seg = spf[lo:lo + _SLICE]
+    spf[2::2] = 2
+    odd = spf[1::2]  # odd[i] is spf[2i + 1]
+    for p in _odd_primes(math.isqrt(limit))[::-1].tolist():
+        odd[p * p // 2:: p] = p
+    for lo in range(1, odd.size, _SLICE):  # odd[0] is n = 1
+        seg = odd[lo:lo + _SLICE]
         unmarked = np.flatnonzero(seg == 0)
-        seg[unmarked] = unmarked + lo
+        seg[unmarked] = 2 * (unmarked + lo) + 1
     return spf
 
 

@@ -27,6 +27,8 @@ from .primes import (
     PrimeTable,
     WeightedSumResult,
     build_table,
+    check_table_x,
+    checked_limit,
     flat_prime_powers,
     is_prime_power,
     prime_power_grid,
@@ -620,7 +622,10 @@ def _prime_sum_records(
     sieve_limit: Optional[int],
 ) -> List[AuditRecord]:
     """One record per model variant of sums(tbl, x), x by x, tbl sieved to sieve_limit or 10^6."""
-    tbl = build_table(sieve_limit or 10 ** 6)
+    limit = checked_limit(sieve_limit or 10 ** 6)
+    for x in xs:  # an x beyond the table is refused before sieving
+        check_table_x(x, limit)
+    tbl = build_table(limit)
     return [
         AuditRecord(
             id=audit_id,
@@ -634,6 +639,12 @@ def _prime_sum_records(
         for x in xs
         for name, r in sums(tbl, x).items()
     ]
+
+
+def window_table(x: float, limit: int) -> PrimeTable:
+    """The table sieved to limit, once x is known to be a window's x inside it."""
+    check_table_x(_check_window_x(x), limit)
+    return build_table(limit)
 
 
 def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditRecord]:
@@ -675,7 +686,10 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
 def _window_audit_records(q_max: int, x: float, sieve_limit: Optional[int]) -> List[AuditRecord]:
     """window_records of 3 <= q <= q_max, on a table sieved to sieve_limit or x."""
     check_sweep(q_max)
-    tbl = build_table(sieve_limit or table_limit(x))
+    limit = checked_limit(sieve_limit or table_limit(x))
+    if q_max < 3:  # no modulus, so no window
+        return []
+    tbl = window_table(x, limit)
     # a primitive character mod q >= 2 is never principal (conductor 1)
     chars = (
         chi for q in range(3, q_max + 1) for chi in enumerate_characters(q, primitive_only=True)

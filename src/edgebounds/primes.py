@@ -23,7 +23,7 @@ MAX_SIEVE_LIMIT = 200_000_000
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """The primes up to limit, ascending, as int64."""
+    """The primes up to limit, ascending, as a read-only int64 array."""
 
     limit: int
     primes: np.ndarray = field(repr=False)
@@ -73,13 +73,15 @@ def build_table(limit: int) -> PrimeTable:
     """The primes up to limit, read off a smallest-prime-factor sieve that is not kept."""
     limit = checked_limit(limit)
     spf = _kernel.spf_array(limit)
-    # n is prime iff spf[n] == n; compared a slice at a time so that no
-    # temporary the size of the sieve is made
-    found = []
-    for lo in range(2, limit + 1, _PRIME_SCAN):
-        hi = min(limit + 1, lo + _PRIME_SCAN)
-        found.append(np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=np.int32)) + lo)
+    # n <= r is prime iff spf[n] == n; past r = isqrt(limit) every composite
+    # has spf[n] <= r, so n is prime iff spf[n] > r. Compared a slice at a
+    # time against a scalar, so that no temporary the size of the sieve is made
+    r = math.isqrt(limit)
+    found = [np.flatnonzero(spf[2:r + 1] == np.arange(2, r + 1, dtype=np.int32)) + 2]
+    for lo in range(r + 1, limit + 1, _PRIME_SCAN):
+        found.append(np.flatnonzero(spf[lo:lo + _PRIME_SCAN] > r) + lo)
     primes = np.concatenate(found).astype(np.int64, copy=False)
+    primes.flags.writeable = False  # shared by every grid of this table
     return PrimeTable(limit=limit, primes=primes)
 
 
@@ -106,16 +108,23 @@ def is_prime_power(n: int) -> bool:
     return n >= 2 and len(factorize(n)) == 1
 
 
+def check_table_x(x: float, limit: int) -> float:
+    """float(x), once it is known not to lie beyond a table sieved to limit."""
+    xf = float(x)
+    if xf > limit:
+        raise DomainError("x=%r beyond table limit %d" % (x, limit))
+    return xf
+
+
 def prime_power_grid(tbl: PrimeTable, x: float):
     """Arrays (primes p, values p^k, exponent k) for every p^k <= x."""
-    xf = float(x)
-    if xf > tbl.limit:
-        raise DomainError("x=%r beyond table limit %d" % (x, tbl.limit))
+    xf = check_table_x(x, tbl.limit)
     out = []
     k = 1
     while 2.0 ** k <= xf:
         approx = xf ** (1.0 / k)
-        cand = tbl.primes[tbl.primes <= approx + 2.0]
+        # the primes <= approx + 2, a prefix of the ascending list
+        cand = tbl.primes[:np.searchsorted(tbl.primes, math.floor(approx + 2.0), side="right")]
         if cand.size:
             pk = cand ** k
             keep = pk <= xf
@@ -145,6 +154,14 @@ def psi_total(tbl: PrimeTable, x: float) -> float:
     return _kernel.exact_sum(flat_prime_powers(prime_power_grid(tbl, x))[0])
 
 
+def check_linear_x(x: float) -> float:
+    """float(x), once it is known to be > 1, as smoothed_sum_linear needs."""
+    xf = float(x)
+    if not xf > 1.0:
+        raise DomainError("need x > 1, got %r" % (x,))
+    return xf
+
+
 def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
     """Sum of log(p)/p^k * (1 - p^k/x), with both model main terms.
 
@@ -153,9 +170,7 @@ def smoothed_sum_linear(tbl: PrimeTable, x: float) -> dict:
     log(2*pi)/x correction. The window is the proven 2|B|/sqrt(x) allowance;
     exactly one variant is expected to sit inside it at small x.
     """
-    xf = float(x)
-    if not xf > 1.0:
-        raise DomainError("need x > 1, got %r" % (x,))
+    xf = check_linear_x(x)
     lp, pk, _k = flat_prime_powers(prime_power_grid(tbl, x))
     lhs = _kernel.exact_sum(lp * (1.0 / pk - 1.0 / xf))
 

@@ -43,3 +43,16 @@ def test_sieve_temporaries_are_bounded():
     finally:
         tracemalloc.stop()
     assert peak - 4 * (limit + 1) < 2 ** 18
+
+
+def test_prime_scan_temporaries_are_bounded():
+    # the prime list is read off the sieve a fixed slice at a time: beyond
+    # the sieve, only the list's slices and the list itself are held at once
+    limit = 2 * 10 ** 6
+    tracemalloc.start()
+    try:
+        primes = build_table(limit).primes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 4 * (limit + 1) - 2 * primes.nbytes < 2 ** 18

@@ -143,6 +143,27 @@ def test_sieve_limit_below_x_exit_two():
         assert err.endswith("beyond table limit %d\n" % (limit,)), argv
 
 
+def test_x_refused_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("built a sieve to %d" % (limit,))
+
+    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    for argv in (
+        ["window", "--q", "5", "--x", "3e7", "--sieve-limit", "29999999"],
+        ["primesums", "--x", "3e7", "--sieve-limit", "29999999"],
+        ["audit", "--id", "window", "--x", "3e7", "--sieve-limit", "29999999"],
+    ):
+        assert cap(argv) == (2, "", "error: x=30000000.0 beyond table limit 29999999\n"), argv
+    err = "error: x=1000000.0 beyond table limit 999999\n"
+    assert cap(["audit", "--id", "lemma24", "--sieve-limit", "999999"]) == (2, "", err)
+    for argv, err in (
+        (["primesums", "--x", "0.5", "--sieve-limit", "29999999"], "need x > 1, got 0.5"),
+        (["window", "--q", "5", "--x", "100", "--sieve-limit", "29999999"], "windows need x >= 132"),
+        (["audit", "--id", "window", "--x", "100", "--sieve-limit", "29999999"], "windows need x >= 132"),
+    ):
+        assert cap(argv) == (2, "", "error: %s\n" % (err,)), argv
+
+
 def test_window_empty_selection_builds_no_table(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("built a sieve to %d" % (limit,))

@@ -54,6 +54,83 @@ def test_prime_list_matches_naive(monkeypatch):
     assert tbl.primes.tolist() == naive
 
 
+def test_sieve_edges_match_trial_division():
+    # every small limit, and each side of every square of a prime <= 200,
+    # where a sieving prime starts to stamp and the prime scan's split moves
+    small = [n for n in range(2, 201) if _naive_spf(n) == n]
+    top = 199 ** 2 + 1
+    ref = np.zeros(top + 1, dtype=np.int32)
+    for n in range(2, top + 1):
+        ref[n] = n
+        for p in small:
+            if p * p > n:
+                break
+            if n % p == 0:
+                ref[n] = p
+                break
+    limits = set(range(2, 1001)) | {p * p + d for p in small for d in (-1, 0, 1)}
+    for limit in sorted(limits):
+        spf = _kernel.spf_array(limit)
+        assert spf.dtype == np.int32 and np.array_equal(spf, ref[:limit + 1]), limit
+        want = np.flatnonzero(ref[:limit + 1] == np.arange(limit + 1))
+        assert np.array_equal(build_table(limit).primes, want[want >= 2]), limit
+
+
+def test_build_table_sieves_once(monkeypatch):
+    calls = []
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    sieve = _kernel.spf_array
+    monkeypatch.setattr(_kernel, "spf_array", counted)
+    build_table(10 ** 5)
+    assert calls == [10 ** 5]
+
+
+def test_table_primes_are_read_only():
+    tbl = build_table(100)
+    with pytest.raises(ValueError):
+        tbl.primes[0] = 3
+    assert tbl.primes[0] == 2
+
+
+def _mask_cut_grid(tbl, x):
+    """prime_power_grid with each exponent's primes cut by a mask of the whole list."""
+    xf = float(x)
+    out = []
+    k = 1
+    while 2.0 ** k <= xf:
+        approx = xf ** (1.0 / k)
+        cand = tbl.primes[tbl.primes <= approx + 2.0]
+        if cand.size:
+            pk = cand ** k
+            keep = pk <= xf
+            if np.any(keep):
+                out.append((cand[keep], pk[keep], k))
+        k += 1
+    return out
+
+
+def test_prime_power_grid_equals_mask_cut(table4):
+    ps = table4.primes.tolist()
+    xs = {float(table4.limit)}
+    for p in ps[:30] + ps[-30:]:
+        k = 1
+        while p ** k <= table4.limit:
+            for v in (p ** k, (p - 2) ** k):  # at a prime power, and where approx + 2 meets p
+                xs.update((v, v - 0.5, v + 0.5, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+            k += 1
+        xs.update((p - 2.0, p - 1.5, p + 1.5, p + 2.0))  # within 2 of a prime
+    for x in sorted(v for v in xs if v <= table4.limit):
+        got, want = prime_power_grid(table4, x), _mask_cut_grid(table4, x)
+        assert [k for _, _, k in got] == [k for _, _, k in want], x
+        for (p, pk, _), (wp, wpk, _) in zip(got, want):
+            assert p.dtype == wp.dtype and pk.dtype == wpk.dtype, x
+            assert np.array_equal(p, wp) and np.array_equal(pk, wpk), x
+
+
 def test_build_table_budget():
     with pytest.raises(DomainError):
         build_table(1)
