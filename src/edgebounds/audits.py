@@ -28,7 +28,6 @@ from .primes import (
     WeightedSumResult,
     build_table,
     check_table_x,
-    checked_limit,
     flat_prime_powers,
     is_prime_power,
     prime_power_grid,
@@ -492,7 +491,7 @@ def _gamma_block(inst: LFunctionInstance) -> float:
 
 def _check_window_x(x: float) -> float:
     xf = float(x)
-    if xf < 132.0:
+    if not xf >= 132.0:  # written negated so that a nan x fails too
         raise DomainError("windows need x >= 132")
     return xf
 
@@ -621,8 +620,8 @@ def _prime_sum_records(
     xs: Sequence[float],
     sieve_limit: Optional[int],
 ) -> List[AuditRecord]:
-    """One record per model variant of sums(tbl, x), x by x, tbl sieved to sieve_limit or 10^6."""
-    limit = checked_limit(sieve_limit or 10 ** 6)
+    """One record per model variant of sums(tbl, x), x by x, on one table_limit(max(xs)) table."""
+    limit = table_limit(max(xs), sieve_limit)
     for x in xs:  # an x beyond the table is refused before sieving
         check_table_x(x, limit)
     tbl = build_table(limit)
@@ -641,25 +640,23 @@ def _prime_sum_records(
     ]
 
 
-def window_table(x: float, limit: int) -> PrimeTable:
-    """The table sieved to limit, once x is known to be a window's x inside it."""
-    check_table_x(_check_window_x(x), limit)
-    return build_table(limit)
+def window_records(chars: Iterable, x: float, limit: int) -> List[AuditRecord]:
+    """Window record per primitive non-principal character, one shared table and grid.
 
-
-def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditRecord]:
-    """Window record per primitive non-principal character, one shared grid.
-
-    Each record holds log|L(1,chi)| (lhs) against the midpoint of its
-    explicit-formula window at x; it PASSes when the window contains it.
+    At the first character x is checked (x >= 132, then x <= limit), and the
+    table sieved to limit and its grid at x are built; an empty selection
+    checks and sieves nothing. Each record holds log|L(1,chi)| (lhs) against
+    the midpoint of its explicit-formula window at x; it PASSes when the
+    window contains it.
     """
     out = []
     weights = None
     for chi in chars:
-        inst = dirichlet_instance(chi)
         if weights is None:
-            weights = _window_weights(tbl, _check_window_x(x))
-        iv = explicit_formula_window(inst, tbl, x, weights)
+            check_table_x(_check_window_x(x), limit)
+            tbl = build_table(limit)
+            weights = _window_weights(tbl, x)
+        iv = explicit_formula_window(dirichlet_instance(chi), tbl, x, weights)
         truth = math.log(abs(l1_value(chi)))
         mid = 0.5 * (iv.lo + iv.hi)
         half = 0.5 * iv.width()
@@ -686,15 +683,12 @@ def window_records(tbl: PrimeTable, chars: Iterable, x: float) -> List[AuditReco
 def _window_audit_records(q_max: int, x: float, sieve_limit: Optional[int]) -> List[AuditRecord]:
     """window_records of 3 <= q <= q_max, on a table sieved to sieve_limit or x."""
     check_sweep(q_max)
-    limit = checked_limit(sieve_limit or table_limit(x))
-    if q_max < 3:  # no modulus, so no window
-        return []
-    tbl = window_table(x, limit)
+    limit = table_limit(x, sieve_limit)
     # a primitive character mod q >= 2 is never principal (conductor 1)
     chars = (
         chi for q in range(3, q_max + 1) for chi in enumerate_characters(q, primitive_only=True)
     )
-    return window_records(tbl, chars, x)
+    return window_records(chars, x, limit)
 
 
 # id -> records(grid_steps, q_max, x, sieve_limit). Entries call module

@@ -150,7 +150,7 @@ def _bound(ns: argparse.Namespace) -> _Result:
 
 def _primesums(ns: argparse.Namespace) -> _Result:
     _check_sieve_limit(ns.sieve_limit)
-    limit = primes.checked_limit(ns.sieve_limit or primes.table_limit(ns.x))
+    limit = primes.table_limit(ns.x, ns.sieve_limit)
     primes.check_table_x(primes.check_linear_x(ns.x), limit)  # before sieving
     tbl = primes.build_table(limit)
     lin = primes.smoothed_sum_linear(tbl, ns.x)
@@ -184,11 +184,8 @@ def _audit(ns: argparse.Namespace) -> _Result:
 
 def _window(ns: argparse.Namespace) -> _Result:
     _check_sieve_limit(ns.sieve_limit)
-    limit = primes.checked_limit(ns.sieve_limit or primes.table_limit(ns.x))
-    chars = _selected_chars(ns.q, ns.index)
-    recs = []  # an empty selection prints its document without sieving
-    if chars:
-        recs = audits.window_records(audits.window_table(ns.x, limit), chars, ns.x)
+    limit = primes.table_limit(ns.x, ns.sieve_limit)
+    recs = audits.window_records(_selected_chars(ns.q, ns.index), ns.x, limit)
     rows = [r.to_json_dict() for r in recs]
     params = {"q": ns.q, "index": ns.index, "x": ns.x, "sieve_limit": limit}
     return _doc("window", params, {"records": rows}), recs

@@ -284,7 +284,7 @@ def primitive_character(q: int, index: int) -> Optional[DirichletCharacter]:
 @lru_cache(maxsize=None)
 def _psi_row(q: int) -> np.ndarray:
     """psi(a/q) for a = 1..q-1, frozen."""
-    return digamma_rational(q).value
+    return digamma_rational(q)
 
 
 def l1_value(chi: DirichletCharacter) -> complex:

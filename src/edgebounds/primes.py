@@ -9,7 +9,7 @@ and are identical across runs.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,11 +47,14 @@ class WeightedSumResult:
         return abs(self.residual) <= self.window
 
 
-def table_limit(x: float) -> int:
-    """Sieve limit of the smallest table holding every prime power p^k <= x."""
+def table_limit(x: float, sieve_limit: Optional[int] = None) -> int:
+    """sieve_limit, else the least table holding every p^k <= x, within the budget.
+
+    A non-finite x is refused first, with or without sieve_limit.
+    """
     if not math.isfinite(x):
         raise DomainError("need a finite x, got %r" % (x,))
-    return max(2, math.ceil(x))
+    return checked_limit(max(2, math.ceil(x)) if sieve_limit is None else sieve_limit)
 
 
 def checked_limit(limit: int) -> int:

@@ -2,10 +2,10 @@
 
 Digamma (complex, and the exact-formula row at the rationals a/q,
 a = 1..q-1), the tail series generated by trivial zeros, and the two
-series/ratio expressions audited elsewhere in the package. Every result is
-returned as a SeriesValue carrying a rigorous absolute-error estimate that
-downstream consumers propagate. The exponential integral exp1, which only
-the L(1, chi) oracle uses, returns a plain float good to a few ulp.
+series/ratio expressions audited elsewhere in the package. The scalar
+results are SeriesValues with an absolute-error estimate that no consumer
+reads yet; the digamma row is a frozen array, and the exponential integral
+exp1, which only the L(1, chi) oracle uses, a plain float good to a few ulp.
 
 The Chandee margin log|z| - Re digamma(z) is computed for a whole array of
 z at once, with the bits the scalar digamma gives point by point. So its
@@ -34,9 +34,9 @@ Number = Union[float, complex]
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A numeric result, or a frozen array of them, with a truncation/rounding error bound."""
+    """A numeric result with a truncation/rounding error bound."""
 
-    value: Union[Number, np.ndarray]
+    value: Number
     abs_error: float
 
     def __post_init__(self) -> None:
@@ -60,6 +60,8 @@ _ASYMP_COEFFS = (
 _ASYMP_NEXT = 43867.0 / 798.0 / 18.0
 
 _SHIFT_RADIUS = 10.0
+
+_EPS = 2.0 ** -53  # unit roundoff of float64
 
 
 def digamma(z: Number) -> SeriesValue:
@@ -120,7 +122,7 @@ def check_digamma_row(q: int) -> None:
         raise ResourceBudgetError(msg % (q - 1, q, MAX_DIGAMMA_TERMS))
 
 
-def digamma_rational(q: int) -> SeriesValue:
+def digamma_rational(q: int) -> np.ndarray:
     """The row psi(a/q), a = 1..q-1, via the finite cosine-log formula.
 
     Exact closed form for 1 <= a < q:
@@ -129,13 +131,12 @@ def digamma_rational(q: int) -> SeriesValue:
     with the cotangent left out at 2a = q. The cosines and log-sines come
     from one table per q, each entry built by the scalar math functions, so
     every term is the same float as when computed alone; the terms of each
-    a are summed exactly rounded (_kernel.exact_sum), keeping the absolute
-    error at the 1e-15 scale for the modulus sizes used in this package.
+    a are summed exactly rounded (_kernel.exact_sum).
 
-    The value is a frozen float64 array, abs_error the largest entry bound.
-    Terms are built a block of rows (near _ROW_BLOCK cells) at a time. A q
-    that is not an integer >= 1 raises DomainError, and a row past
-    MAX_DIGAMMA_TERMS terms ResourceBudgetError (check_digamma_row).
+    The row is a frozen float64 array, its terms built a block of rows (near
+    _ROW_BLOCK cells) at a time. A q that is not an integer >= 1 raises
+    DomainError, and a row past MAX_DIGAMMA_TERMS terms ResourceBudgetError
+    (check_digamma_row).
     """
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise DomainError("digamma_rational needs an integer q >= 1, got %r" % (q,))
@@ -161,10 +162,7 @@ def digamma_rational(q: int) -> SeriesValue:
         cos_log_sin *= log_sin
         value[lo:hi] = exact_sum(block)
     value.flags.writeable = False
-    # Rounding grows with the number of cosine-log terms and, near the
-    # pole at 0, with the magnitude of the value itself.
-    abs_error = min(1e-14, 4e-15 + 1.5e-17 * q) + 4e-16 * np.abs(value)
-    return SeriesValue(value, float(abs_error.max(initial=0.0)))
+    return value
 
 
 _EXP1_SERIES_TERMS = 29  # x^29/(29 * 29!) < 1e-32 at x = 1
@@ -200,10 +198,11 @@ def exp1(x: float) -> float:
 def trivial_zero_tail(x: float) -> SeriesValue:
     """Sum of x^(-2n-1) / (2n(2n+1)) over n >= 1, for x > 1.
 
-    Equals -(1/(2x)) log(1 - x^-2) - atanh(1/x) + 1/x in closed form; the
-    direct positive series is summed here because it is cancellation-free at
-    every x, and the closed form is used only very close to x = 1 where the
-    series slows down.
+    Equals (w/2) log w - ((1+u)/2) log1p(u) + u with u = 1/x, w = (x-1)/x
+    (x - 1 is exact). The positive series is summed as it is cancellation-
+    free; the closed form only near x = 1, where the series slows down.
+    abs_error bounds the rounding to first order (a unit of 2^-53 per
+    operation, two per libm log) plus the dropped tail of the series.
     """
     x = float(x)
     if not x > 1.0:
@@ -211,9 +210,12 @@ def trivial_zero_tail(x: float) -> SeriesValue:
     u = 1.0 / x
     u2 = u * u
     if u2 > 0.9:
-        # x < ~1.054: closed form, no meaningful cancellation in this range.
-        value = -0.5 * u * math.log1p(-u2) - (math.atanh(u) - u)
-        return SeriesValue(value, 1e-14 * (1.0 + abs(value)))
+        # x < ~1.054: each term within 6 units of its size, an addition 1 more
+        w = (x - 1.0) / x
+        head = 0.5 * w * math.log(w)
+        mid = 0.5 * (1.0 + u) * math.log1p(u)
+        value = head - mid + u
+        return SeriesValue(value, 8.0 * _EPS * (abs(head) + mid + u))
 
     terms = []
     upow = u * u2  # u^(2n+1) at n = 1
@@ -229,7 +231,9 @@ def trivial_zero_tail(x: float) -> SeriesValue:
             break
     value = math.fsum(terms)
     tail_bound = (upow / (2.0 * n * (2.0 * n + 1.0))) / (1.0 - u2)
-    return SeriesValue(value, tail_bound + 1e-16 * value)
+    # term m: 4m + 2 roundings from x, 1 more for higher orders; fsum 1 in all
+    rounding = _EPS * (math.fsum((4 * m + 3) * t for m, t in enumerate(terms, start=1)) + value)
+    return SeriesValue(value, tail_bound + rounding)
 
 
 # B_2 and |B_4|: the Euler-Maclaurin tail of kappa_series_direct keeps the

@@ -69,6 +69,7 @@ def test_bound_domain_error_exit_two():
         ["bound", "--d", "1", "--log-conductor", "inf"],
         ["bound", "--d", "1", "--log-conductor", "23", "--t", "nan"],
         ["bound", "--d", "1", "--log-conductor", "23", "--t", "inf"],
+        ["bound", "--d", "0", "--log-conductor", "23"],
     ):
         code, text, err = cap(argv)
         assert code == 2 and text == "", argv
@@ -131,6 +132,31 @@ def test_table_from_nonfinite_or_oversized_x_exit_two(monkeypatch):
         run_audit("window", x=float(big))
 
 
+@pytest.mark.parametrize(
+    "limit", [[], ["--sieve-limit", "1000"]], ids=["sized_by_x", "sieve_limit"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["primesums"], ["window", "--q", "5"], ["audit", "--id", "window", "--qmax", "5"]],
+    ids=["primesums", "window", "audit_window"],
+)
+def test_bad_x_refused_before_any_sieve(monkeypatch, command, limit):
+    def no_sieve(n):
+        raise AssertionError("built a sieve to %d" % (n,))
+
+    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    # the --x= form, so that argparse does not read -inf as an option
+    xs = ["nan", "inf", "-inf", "1e400", "0", "1"]
+    if command[0] != "primesums":
+        xs.append("131.9")  # below the window floor of 132
+    for x in xs:
+        argv = command + ["--x=" + x] + limit
+        code, text, err = cap(argv)
+        assert (code, text) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err, argv
+
+
 def test_sieve_limit_below_x_exit_two():
     for argv, limit in (
         (["audit", "--id", "lemma24", "--sieve-limit", "999999"], 999999),
@@ -180,6 +206,15 @@ def test_window_empty_selection_builds_no_table(monkeypatch):
     # an explicit limit below x is not checked against an empty selection
     code, text, err = cap(["window", "--q", "6", "--x", "1000", "--sieve-limit", "999"])
     assert (code, err) == (0, "") and json.loads(text)["params"]["sieve_limit"] == 999
+    # nor against a sweep with no modulus
+    argv = ["audit", "--id", "window", "--qmax", "2", "--x", "1000", "--sieve-limit", "10"]
+    code, text, err = cap(argv)
+    assert (code, err) == (0, "")
+    assert text == (
+        '{\n  "schema": "edgebounds-report/1",\n  "command": "audit",\n'
+        '  "params": {\n    "id": "window",\n    "grid_steps": 512,\n    "qmax": 2,\n'
+        '    "x": 1000.0\n  },\n  "records": [],\n  "n_fail": 0\n}\n'
+    )
     # the budget is checked before the selection, the selection before the sieve
     big = str(primes.MAX_SIEVE_LIMIT + 1)
     code, text, err = cap(["window", "--q", "6", "--x", big])
@@ -543,6 +578,15 @@ def test_primesums_document():
     assert doc["linear"]["two_pi"]["within_window"] is False
     assert doc["linear"]["log_two_pi"]["within_window"] is True
     assert "log" in doc and "alternating" in doc
+    # x = 2 is below e (no log sum) and a prime power (no alternating sum);
+    # x = 1.5 is below 2, and its table holds no prime
+    for x, psi in (("2", math.log(2.0)), ("1.5", 0.0)):
+        code, text, err = cap(["primesums", "--x", x])
+        assert (code, err) == (0, ""), x
+        doc = json.loads(text)
+        assert doc["params"] == {"x": float(x), "sieve_limit": 2}, x
+        assert doc["psi_total"] == psi, x
+        assert doc["log"] is None and doc["alternating"] is None, x
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -581,6 +625,22 @@ def test_text_format_renders():
     code, text, _ = cap(["constants", "--d", "1", "--format", "text"])
     assert code == 0
     assert "schema" in text and "{" not in text.splitlines()[0]
+    # a document with a list: its entries render as [i] blocks
+    code, text, err = cap(["audit", "--id", "trig", "--format", "text"])
+    assert (code, err) == (0, "")
+    assert "records:\n  [0]:\n    id: 'trig'\n" in text
+    digest = "d837e676655bd61b189808b15941ff884741adf444122ab77e7da2dd982a6ae5"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_option_floors_exit_two():
+    for argv, want in (
+        (["primesums", "--x", "100", "--sieve-limit", "1"], "sieve-limit must be >= 2"),
+        (["window", "--q", "5", "--x", "1000", "--sieve-limit", "1"], "sieve-limit must be >= 2"),
+        (["audit", "--id", "trig", "--sieve-limit", "1"], "sieve-limit must be >= 2"),
+        (["audit", "--id", "trig", "--grid-steps", "7"], "grid-steps must be >= 8"),
+    ):
+        assert cap(argv) == (2, "", "error: %s\n" % (want,)), argv
 
 
 def test_json_documents_byte_identical_on_rerun():

@@ -199,7 +199,7 @@ def test_shared_value_matrix_is_read_only():
 
 def _l1_value_per_term(chi):
     q = chi.modulus
-    psi = digamma_rational(q).value.tolist()
+    psi = digamma_rational(q).tolist()
     vt = chi._values
     re = math.fsum(vt[a].real * psi[a - 1] for a in range(1, q))
     im = math.fsum(vt[a].imag * psi[a - 1] for a in range(1, q))
@@ -295,11 +295,18 @@ def test_theta_tail_bound_holds(q):
 def test_l1_series_rejects_principal_and_imprimitive():
     with pytest.raises(DomainError, match="principal"):
         l1_value_series(enumerate_characters(5)[0])
+    with pytest.raises(DomainError, match="principal"):
+        l1_value(enumerate_characters(5)[0])  # the digamma-row oracle too
     imprimitive = [c for c in enumerate_characters(12) if not c.primitive and not c.is_principal]
     assert imprimitive
     for chi in imprimitive:
         with pytest.raises(DomainError, match="imprimitive"):
             l1_value_series(chi)
+
+
+def test_survey_needs_a_modulus():
+    with pytest.raises(DomainError, match="q_max >= 3"):
+        survey(2)
 
 
 def test_survey_frozen_rows():
