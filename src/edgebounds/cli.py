@@ -9,7 +9,6 @@ form, non-finite values as null. Exit status: 0 when no record FAILs,
 
 import argparse
 import functools
-import math
 import sys
 from typing import Callable, List, Optional, Tuple
 
@@ -45,12 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="both envelope values at (d, logC)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--log-conductor", type=float, required=True)
-    p.add_argument(
-        "--t",
-        type=float,
-        default=None,
-        help="shift to the conductor on the vertical line (all-zero local parameters)",
-    )
     _add_common(p, _bound)
 
     p = sub.add_parser("primesums", help="weighted prime sums at x")
@@ -138,13 +131,8 @@ def _constants(ns: argparse.Namespace) -> _Result:
 
 
 def _bound(ns: argparse.Namespace) -> _Result:
-    log_c = ns.log_conductor
-    if ns.t is not None:
-        if not math.isfinite(ns.t):
-            raise DomainError("t must be finite")
-        log_c = log_c + ns.d * 0.5 * math.log1p(ns.t * ns.t)
-    rep = bounds.upper_bound(ns.d, log_c)
-    params = {"d": ns.d, "log_conductor": ns.log_conductor, "t": ns.t}
+    rep = bounds.upper_bound(ns.d, ns.log_conductor)
+    params = {"d": ns.d, "log_conductor": ns.log_conductor}
     return _doc("bound", params, {"report": rep.to_json_dict()}), []
 
 

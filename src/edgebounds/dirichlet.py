@@ -329,18 +329,15 @@ def _theta_tail_bound(q: int, parity: int, n_terms: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _theta_weights(
-    q: int, parity: int, n_terms: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _theta_weights(q: int, parity: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n mod q, g_n = G_a(x_n)/n and h_n = sqrt(pi/q) H_a(x_n) for n = 1..N, frozen.
 
-    G_a and H_a are those of l1_value_series, with a the parity.
-    N defaults to the least count whose tail bound is at most 2^-60.
+    G_a and H_a are those of l1_value_series, with a the parity. N is the
+    least count whose tail bound is at most 2^-60.
     """
-    if n_terms is None:
-        n_terms = 1
-        while _theta_tail_bound(q, parity, n_terms) > _THETA_TAIL:
-            n_terms += 1
+    n_terms = 1
+    while _theta_tail_bound(q, parity, n_terms) > _THETA_TAIL:
+        n_terms += 1
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     x = [PI * k * k / q for k in n.tolist()]
     if parity:

@@ -241,9 +241,9 @@ def trivial_zero_tail(x: float) -> SeriesValue:
 _EM_B2 = 1.0 / 6.0
 _EM_B4 = 1.0 / 30.0
 
-# Most terms kappa_series_direct sums directly. The techlem1 grid needs at
-# most 2,403 (kappa = 0 at tail_tol = 1e-15).
-MAX_KAPPA_TERMS = 10 ** 7
+# Most terms kappa_series_direct sums directly: about 4 MB of temporaries.
+# The techlem1 grid needs at most 2,403 (kappa = 0 at tail_tol = 1e-15).
+MAX_KAPPA_TERMS = 10 ** 5
 
 
 def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
@@ -282,12 +282,14 @@ def kappa_series_direct(kappa: Number, tail_tol: float = 1e-12) -> SeriesValue:
         a = a.real  # real input: float arithmetic throughout
 
     n = np.arange(1, n_em, dtype=np.float64)
-    terms = np.real(a / ((a + 2.0 * n) * (a + n))).tolist()
+    head = np.real(a / ((a + 2.0 * n) * (a + n)))
     near, far = n_em + a / 2.0, n_em + a
-    terms.append(cmath.log(far / near).real)  # integral_N^inf f
-    terms.append((a / (4.0 * near * far)).real)  # f(N)/2
-    terms.append((_EM_B2 / 2.0 * (1.0 / (near * near) - 1.0 / (far * far))).real)
-    value = math.fsum(terms)
+    tail = (
+        cmath.log(far / near).real,  # integral_N^inf f
+        (a / (4.0 * near * far)).real,  # f(N)/2
+        (_EM_B2 / 2.0 * (1.0 / (near * near) - 1.0 / (far * far))).real,
+    )
+    value = exact_sum(np.concatenate((head, tail)))
     abs_error = _EM_B4 / n_em ** 4 + 1e-15 * (1.0 + abs(value))
     return SeriesValue(float(value), abs_error)
 

@@ -189,3 +189,48 @@ def test_cli_byte_identical_across_processes_and_threads():
     assert buf1.getvalue().encode() == a
     doc = json.loads(a)
     assert doc["schema"] == "edgebounds-report/1"
+
+
+# raises that no other test reaches; match pins which check refuses
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(
+            lambda: edgebounds.a_terms_audit("upper", 1, 0, (-0.5 + 1j,), 1e4),
+            "nonnegative real part", id="a_terms_negative_kappa",
+        ),
+        pytest.param(
+            lambda: edgebounds.BoundConstants(d=0, K=3.6, J1=3.3, J2=14.1),
+            "degree", id="bound_constants_d0",
+        ),
+        pytest.param(
+            lambda: edgebounds.LFunctionInstance(d=1, q=0, local_params=(0.0,)),
+            "conductor", id="instance_q0",
+        ),
+        pytest.param(lambda: edgebounds.hecke_instance(0, 1), "weight", id="hecke_weight0"),
+        pytest.param(lambda: edgebounds.hecke_instance(12, 0), "level", id="hecke_level0"),
+        pytest.param(
+            lambda: edgebounds.SeriesValue(1.0, -1.0), "abs_error", id="series_value_negative"
+        ),
+        pytest.param(
+            lambda: edgebounds.kappa_series_direct(-0.5), "Re kappa", id="kappa_direct_negative"
+        ),
+        pytest.param(
+            lambda: edgebounds.kappa_series_direct(1.0, tail_tol=0.0), "tail_tol",
+            id="kappa_direct_zero_tol",
+        ),
+        pytest.param(
+            lambda: edgebounds.kappa_series_closed(-0.5), "Re kappa", id="kappa_closed_negative"
+        ),
+        pytest.param(
+            lambda: edgebounds.techlem2_bound_ratio(1.0, 1.0), "x > 1", id="techlem2_x_at_1"
+        ),
+        pytest.param(
+            lambda: edgebounds.techlem2_bound_ratio(-0.5, 2.0), "Re kappa",
+            id="techlem2_negative_kappa",
+        ),
+    ],
+)
+def test_library_refusals_raise_domain_error(call, match):
+    with pytest.raises(edgebounds.DomainError, match=match):
+        call()

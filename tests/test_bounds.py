@@ -1,9 +1,6 @@
 """Main bound evaluators: constants, both envelopes, threshold and comparisons."""
 
-import io
-import json
 import math
-from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from edgebounds import (
     upper_bound,
 )
 from edgebounds.bounds import BoundConstants
-from edgebounds.cli import run
 
 FROZEN_CONSTANTS = {
     1: (3.516873328245897, 3.269530928956084, 14.084198026489197),
@@ -160,34 +156,50 @@ def test_littlewood_comparison_higher_degrees():
             assert r.upper <= r.littlewood["upper"] * (1.0 + 1e-12), (d, c)
 
 
-def _bound_at_t(d, log_c, t):
-    """The report of `bound --t`, the one t-aspect path."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = run(["bound", "--d", str(d), "--log-conductor=%r" % (log_c,), "--t", repr(t)])
-    assert code == 0
-    return json.loads(out.getvalue())["report"]
+def _shifted(inst, t):
+    """The instance of L(s + it, f): each local parameter kappa_j + it."""
+    return LFunctionInstance(inst.d, inst.q, tuple(k + 1j * t for k in inst.local_params))
+
+
+def _bound_at_t(inst, t):
+    return upper_bound(inst.d, math.log(analytic_conductor(_shifted(inst, t))))
 
 
 def test_t_aspect_composition():
     # all-zero local parameters: C(t) = C(0) |1 + it|^d
     wide = LFunctionInstance(d=1, q=10**6, local_params=(0.0,), label="wide")
-    base = _bound_at_t(1, math.log(analytic_conductor(wide)), 0.0)
-    assert base["logC"] == pytest.approx(math.log(10**6 / (2.0 * math.pi)), rel=1e-12)
-    assert base == upper_bound(1, base["logC"]).to_json_dict()
+    assert analytic_conductor(_shifted(wide, 0.0)) == analytic_conductor(wide)
+    base = _bound_at_t(wide, 0.0)
+    assert base.logC == pytest.approx(math.log(10**6 / (2.0 * math.pi)), rel=1e-12)
     unit = LFunctionInstance(d=1, q=1, local_params=(0.0,), label="unit")
     t = math.sqrt((2.0 * math.pi * math.exp(23.0)) ** 2 - 1.0)
-    shifted = _bound_at_t(1, math.log(analytic_conductor(unit)), t)
-    assert shifted["logC"] == pytest.approx(23.0, abs=1e-10)
-    assert shifted["upper"] == pytest.approx(upper_bound(1, 23.0).upper, rel=1e-12)
-    assert shifted["valid"]
+    shifted = _bound_at_t(unit, t)
+    assert shifted.logC == pytest.approx(23.0, abs=1e-10)
+    assert shifted.upper == pytest.approx(upper_bound(1, 23.0).upper, rel=1e-12)
+    assert shifted.valid
     # degree 2: the conductor grows like t^2
-    shift = _bound_at_t(2, 46.0, 1e8)["logC"] - 46.0
+    flat = LFunctionInstance(d=2, q=10**6, local_params=(0.0, 0.0))
+    shift = _bound_at_t(flat, 1e8).logC - _bound_at_t(flat, 0.0).logC
     assert shift == pytest.approx(2.0 * math.log(1e8), rel=1e-15)
 
 
 def test_t_aspect_nondecreasing_once_valid():
+    unit = LFunctionInstance(d=1, q=1, local_params=(0.0,))
     t0 = math.sqrt((2.0 * math.pi * math.exp(23.0)) ** 2 - 1.0)
     ts = np.geomspace(t0, t0 * 1e6, 60)
-    ups = [_bound_at_t(1, -math.log(2.0 * math.pi), float(t))["upper"] for t in ts]
+    ups = [_bound_at_t(unit, float(t)).upper for t in ts]
     assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
+
+
+def test_t_aspect_shift_uses_the_local_parameters():
+    # an odd character's conductor (kappa = 1) shifted by t = 1000 stays below
+    # the threshold 23; the all-zero shift (1/2) log(1 + t^2) would pass it
+    odd = LFunctionInstance(d=1, q=34097338, local_params=(1.0,))
+    log_c0 = math.log(analytic_conductor(odd))
+    assert log_c0 == pytest.approx(16.2, abs=1e-4)
+    shifted = _bound_at_t(odd, 1000.0)
+    assert shifted.logC == pytest.approx(22.4146, abs=1e-4)
+    assert not shifted.valid
+    zero_shape = upper_bound(1, log_c0 + 0.5 * math.log1p(1000.0**2))
+    assert zero_shape.logC == pytest.approx(23.1078, abs=1e-4)
+    assert zero_shape.valid

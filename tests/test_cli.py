@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -55,11 +56,12 @@ def test_bound_nonfinite_rendered_null():
     assert rep["valid"] is False
 
 
-def test_bound_t_shift_matches_library():
-    code, text, _ = cap(["bound", "--d", "1", "--log-conductor", "23", "--t", "3"])
-    assert code == 0
-    rep = json.loads(text)["report"]
-    assert rep["logC"] == pytest.approx(23.0 + 0.5 * math.log1p(9.0), rel=1e-14)
+def test_bound_t_flag_is_unrecognized():
+    # the t-aspect conductor needs the local parameters: LFunctionInstance with
+    # kappa_j + it through analytic_conductor, not a flag on `bound`
+    code, text, err = cap(["bound", "--d", "1", "--log-conductor", "23", "--t", "3"])
+    assert code == 2 and text == ""
+    assert "unrecognized arguments: --t" in err
 
 
 def test_bound_domain_error_exit_two():
@@ -67,8 +69,6 @@ def test_bound_domain_error_exit_two():
         ["bound", "--d", "1", "--log-conductor", "0.5"],
         ["bound", "--d", "1", "--log-conductor", "nan"],
         ["bound", "--d", "1", "--log-conductor", "inf"],
-        ["bound", "--d", "1", "--log-conductor", "23", "--t", "nan"],
-        ["bound", "--d", "1", "--log-conductor", "23", "--t", "inf"],
         ["bound", "--d", "0", "--log-conductor", "23"],
     ):
         code, text, err = cap(argv)
@@ -653,6 +653,25 @@ def test_json_documents_byte_identical_on_rerun():
         _, first, _ = cap(argv)
         _, second, _ = cap(argv)
         assert first == second, argv
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("edgebounds ")]
+
+
+def test_readme_cli_block_runs_as_written():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        code, text, err = cap(argv)
+        assert (code, err) == (0, ""), line
+        if "csv" in argv:
+            assert text.startswith("q,char_index,") and text.endswith("\n"), line
+        else:
+            assert json.loads(text)["schema"] == "edgebounds-report/1", line
 
 
 def test_module_entry_point():

@@ -1,9 +1,6 @@
 """Instance model: local parameters, conductors, the coefficient table."""
 
-import io
-import json
 import math
-from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from edgebounds import (
     hecke_instance,
 )
 from edgebounds.audits import _window_weights
-from edgebounds.cli import run
 
 
 def test_instance_validation():
@@ -60,32 +56,36 @@ def test_hecke_instance_shape():
     assert hecke_instance(12, 1).local_params == (5.5 + 0j, 6.5 + 0j)
 
 
-def _conductor_at_t(d, log_c, t):
-    """C(t) from the logC of `bound --t`, the one t-aspect path."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = run(["bound", "--d", str(d), "--log-conductor=%r" % (log_c,), "--t", repr(t)])
-    assert code == 0
-    return math.exp(json.loads(out.getvalue())["report"]["logC"])
+def _shifted(inst, t):
+    """The instance of L(s + it, f): each local parameter kappa_j + it."""
+    return LFunctionInstance(inst.d, inst.q, tuple(k + 1j * t for k in inst.local_params))
+
+
+def _conductor_at_t(inst, t):
+    return analytic_conductor(_shifted(inst, t))
 
 
 def test_t_aspect_conductor_frozen_and_growth():
-    # all-zero local parameters, where C(t) = C(0) |1 + it|^d is exact; the
-    # bound needs logC > 1, so q = 10^6 scales the unit conductor up
+    # all-zero local parameters, where C(t) = C(0) |1 + it|^d is exact
     q = 10**6
     wide = LFunctionInstance(d=1, q=q, local_params=(0.0,), label="wide")
-    got = _conductor_at_t(1, math.log(analytic_conductor(wide)), 2.0) / q
+    got = _conductor_at_t(wide, 2.0) / q
     assert got == pytest.approx(0.3558812717085886, rel=1e-14)
     assert got == pytest.approx(math.sqrt(5.0) / (2.0 * math.pi), rel=1e-13)
+    # so the shift of log C is (d/2) log(1 + t^2)
+    for d in (1, 2, 3):
+        base = LFunctionInstance(d=d, q=1, local_params=(0.0,) * d)
+        log_c0 = math.log(analytic_conductor(base))
+        for t in np.geomspace(0.5, 1e8, 40):
+            shift = math.log(_conductor_at_t(base, float(t))) - log_c0
+            assert shift == pytest.approx(0.5 * d * math.log1p(t * t), abs=1e-14), (d, t)
     # degree-2 conductor grows like t^2 with the 1/(4 pi^2) constant
-    log_c = math.log(analytic_conductor(LFunctionInstance(d=2, q=1, local_params=(0.0, 0.0))))
     t = 1e8
-    assert _conductor_at_t(2, log_c, t) / t**2 == pytest.approx(
-        1.0 / (4.0 * math.pi**2), rel=1e-6
+    assert _conductor_at_t(LFunctionInstance(d=2, q=1, local_params=(0.0, 0.0)), t) / t**2 == (
+        pytest.approx(1.0 / (4.0 * math.pi**2), rel=1e-6)
     )
-    log_c = math.log(analytic_conductor(hecke_instance(12, q)))
     ts = np.linspace(0.0, 50.0, 40)
-    vals = [_conductor_at_t(2, log_c, float(t)) for t in ts]
+    vals = [_conductor_at_t(hecke_instance(12, q), float(t)) for t in ts]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 

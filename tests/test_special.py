@@ -161,7 +161,7 @@ def _kappa_series_term_by_term(kappa, tail_tol):
     return math.fsum(head + [integral, half_f, b2_term])
 
 
-def test_kappa_series_direct_blocks_equal_one_array_sum():
+def test_kappa_series_direct_equals_fsum_of_its_terms():
     # kappa = 1 is the window's odd-character term at the default tail_tol
     assert kappa_series_direct(1.0).value == _kappa_series_term_by_term(1.0, 1e-12)
     # N from the tail_tol rule (kappa = 1 above, 0 here) and from the
@@ -170,6 +170,11 @@ def test_kappa_series_direct_blocks_equal_one_array_sum():
         assert kappa_series_direct(kappa, tail_tol=tol).value == _kappa_series_term_by_term(
             kappa, tol
         )
+    # bit for bit on the techlem1 grid, at its tail_tol and looser ones
+    for kappa in _KAPPA_GRID:
+        for tol in (1e-6, 1e-10, 1e-12, 1e-13, 1e-15):
+            got = kappa_series_direct(kappa, tail_tol=tol).value
+            assert got == _kappa_series_term_by_term(kappa, tol), (kappa, tol)
 
 
 def test_kappa_series_direct_within_abs_error_of_mpmath(monkeypatch):
@@ -196,8 +201,9 @@ def test_kappa_series_direct_working_memory_is_bounded():
 
 
 def test_kappa_series_direct_term_count_is_capped():
-    # N = 4,272,870,064 from tail_tol and 4e12 from the 4(|a|+2) floor
-    for kappa, tol in ((1.0, 1e-40), (1e12, 1e-12)):
+    # N = 4,272,870,064 from tail_tol and 4e12 from the 4(|a|+2) floor; the
+    # last two need about 1.2e5 and 1.35e5 terms, just past the budget
+    for kappa, tol in ((1.0, 1e-40), (1e12, 1e-12), (3e4, 1e-12), (0.0, 1e-22)):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceBudgetError):
