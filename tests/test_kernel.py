@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgebounds import _kernel, build_table, psi_total, smoothed_sum_linear
+from edgebounds import (
+    _kernel,
+    build_table,
+    dirichlet_instance,
+    enumerate_characters,
+    psi_total,
+    smoothed_sum_linear,
+)
 from edgebounds._kernel import exact_sum
+from edgebounds.audits import _instance_prime_sums, _window_weights
 
 
 def _outcome(fn, values):
@@ -37,6 +45,19 @@ def _count_fallbacks(monkeypatch):
 
     monkeypatch.setattr(_kernel, "math", types.SimpleNamespace(**{**vars(math), "fsum": fsum}))
     return calls
+
+
+def _count_second_splits(monkeypatch):
+    """Patch _kernel._second_split so the rows that reach it are counted."""
+    rows = []
+    second_split = _kernel._second_split
+
+    def counted(terms, *args):
+        rows.extend(terms.tolist())
+        return second_split(terms, *args)
+
+    monkeypatch.setattr(_kernel, "_second_split", counted)
+    return rows
 
 
 # mantissa in [-1, 1] times 2^e: from subnormals to 2^1000
@@ -139,9 +160,23 @@ def test_exact_sum_falls_back_when_the_certificate_fails(monkeypatch):
     rest = [2.0 ** -200, -(2.0 ** -260 + 2.0 ** -312), -(2.0 ** -200), 2.0 ** -260]
     assert exact_sum(np.array([1.0, 2.0 ** -53] + rest)) == 1.0
     assert calls == [4, 6]
-    # a rest below 2^-900 is not split again
+    # the first split's bound settles a rest far below the rounding point
     assert exact_sum(np.array([1.0, 2.0 ** -1000])) == 1.0
-    assert calls == [4, 6, 2]
+    assert calls == [4, 6]
+    # s1 = 0 and the bracket straddles it, so the row is split again; a
+    # rest below 2^-900 is not split again
+    second = _count_second_splits(monkeypatch)
+    assert exact_sum(np.array([1.0, -1.0, 2.0 ** -1000])) == 2.0 ** -1000
+    assert calls == [4, 6, 3]
+    assert second == [[1.0, -1.0, 2.0 ** -1000]]
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 4), (2, 3, 0), (1, 1, 1, 1)])
+def test_exact_sum_refuses_arrays_not_one_or_two_dimensional(monkeypatch, shape):
+    calls = _count_fallbacks(monkeypatch)
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        exact_sum(np.zeros(shape))
+    assert calls == []
 
 
 def test_exact_sum_needs_no_fallback_on_prime_sums(monkeypatch):
@@ -150,6 +185,19 @@ def test_exact_sum_needs_no_fallback_on_prime_sums(monkeypatch):
     psi_total(tbl, 10 ** 4)
     smoothed_sum_linear(tbl, 10 ** 4)
     assert calls == []
+
+
+def test_window_prime_sums_settle_at_the_first_split(monkeypatch):
+    # a perf guard without a clock: a row that takes the second split costs
+    # two to three times one that does not, so the window sums must not need it
+    weights = _window_weights(build_table(10 ** 4), 1e4)
+    calls = _count_fallbacks(monkeypatch)
+    second = _count_second_splits(monkeypatch)
+    chars = [c for q in range(3, 14) for c in enumerate_characters(q, primitive_only=True)]
+    assert len(chars) == 37
+    for chi in chars:
+        _instance_prime_sums(dirichlet_instance(chi), weights)
+    assert second == [] and calls == []
 
 
 def _assert_rows_match_fsum(matrix):
@@ -191,6 +239,66 @@ def test_exact_sum_rows_mix_certified_and_fallback_rows(monkeypatch):
     # inf, nan, both zero rows, the row below 2^-900 and the uncertified
     # cancelling row; the other three are certified
     assert calls == [5] * 6
+
+
+@pytest.mark.filterwarnings("error")  # nan and inf tops are compared, never split
+def test_exact_sum_rows_settle_at_each_stage(monkeypatch):
+    first = [[1.5, -0.25, 3.0, 1e-3, 7.0], [1e3, 2.5e-3, -7.0, 1e-12, 3.25]]
+    # cancellation leaves the sum in the low parts: the second split
+    # certifies the first two rows, and fsum decides the other two
+    second = [
+        [1e16, 3.0, -1e16, 0.5, 0.25],
+        [0.1, 0.2, 0.3, -0.6, 1e-17],
+        [1e16, 1.0, -1e16, 2.0 ** -60, -1.0],
+        [1.0, -1.0, 2.0 ** -1000, 0.0, -0.0],
+    ]
+    unsplit = [
+        [1.0, math.inf, 2.0, 0.0, -5.0],
+        [math.nan, 1.0, 2.0, 3.0, 4.0],
+        [-0.0, -0.0, -0.0, -0.0, -0.0],
+        [0.0, -0.0, -0.0, 0.0, -0.0],
+        [2.0 ** -950, 2.0 ** -960, -(2.0 ** -970), 0.0, 2.0 ** -1000],
+    ]
+    rows = first + second + unsplit
+    order = [6, 0, 2, 7, 3, 8, 1, 4, 9, 10, 5]  # the three stages interleaved
+    matrix = np.array([rows[i] for i in order])
+    calls = _count_fallbacks(monkeypatch)
+    reached = _count_second_splits(monkeypatch)
+    _assert_rows_match_fsum(matrix)
+    assert reached == [rows[i] for i in order if rows[i] in second]
+    assert calls == [5] * 7
+
+
+def _near_a_rounding_point(rng, n, scale, offset):
+    """n terms that cancel in pairs to F + ulp(F)/2 + offset (a tie, or near one)."""
+    # exponents spread over 60 binades, so the low parts' float sum is inexact
+    half = np.ldexp(rng.standard_normal((n - 3) // 2) * scale, rng.integers(-60, 1, (n - 3) // 2))
+    f = float(rng.uniform(0.5, 1.0)) * 2.0 ** int(rng.integers(-20, 20))
+    tail = [f, math.ulp(f) / 2.0, offset * math.ulp(f)]
+    return rng.permutation(np.concatenate((half, -half, tail, np.zeros((n - 3) % 2))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 10 ** 5),
+    st.integers(0, 2 ** 32 - 1),
+    st.floats(1.0, 1e6),
+    st.sampled_from([0.0, 2.0 ** -70, -(2.0 ** -70)]),
+)
+def test_exact_sum_long_rows_near_a_rounding_point(n, seed, scale, offset):
+    # the first split's bracket has radius e = 2 n^2 u^2 sigma around a
+    # centre within e/2 of the sum, and e/2 >= 9 u^2 sigma > 45 u^2 F is more
+    # than |offset| ulp(F) <= 2^-122 F: the bracket holds the tie, so the
+    # first split must refuse every row and only the later stages round it
+    terms = _near_a_rounding_point(np.random.default_rng(seed), n, scale, offset)
+    want = math.fsum(terms.tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        reached = _count_second_splits(mp)
+        got = exact_sum(terms)
+        rows = exact_sum(np.stack((terms, terms[::-1])))
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert [struct.pack("<d", v) for v in rows.tolist()] == [struct.pack("<d", want)] * 2
+    assert len(reached) == 3
 
 
 def test_exact_sum_rows_agree_with_one_dimensional_calls():
