@@ -30,7 +30,6 @@ from .bounds import (
 )
 from .dirichlet import (
     DirichletCharacter,
-    SurveyRecord,
     enumerate_characters,
     l1_value,
     l1_value_series,
@@ -85,7 +84,6 @@ __all__ = [
     "PrimeTable",
     "ResourceBudgetError",
     "SeriesValue",
-    "SurveyRecord",
     "WeightedSumResult",
     "a_terms_audit",
     "alternating_prime_power_sum",

@@ -180,26 +180,14 @@ def _window(ns: argparse.Namespace) -> _Result:
 
 
 def _dirichlet_l1(ns: argparse.Namespace) -> _Result:
-    rows = []
-    for chi in _selected_chars(ns.q, ns.index):
-        val = dirichlet.l1_value(chi)
-        rows.append(
-            {
-                "q": ns.q,
-                "char_index": chi.index,
-                "conductor": chi.conductor,
-                "parity": chi.parity,
-                "re_L1": val.real,
-                "im_L1": val.imag,
-                "abs_L1": abs(val),
-            }
-        )
+    chars = _selected_chars(ns.q, ns.index)
+    rows = [dirichlet.l1_row(chi, dirichlet.l1_value(chi)) for chi in chars]
     params = {"q": ns.q, "index": ns.index}
     return _doc("dirichlet.l1", params, {"characters": rows}), []
 
 
 def _dirichlet_survey(ns: argparse.Namespace) -> _Result:
-    rows = [r.to_json_dict() for r in dirichlet.survey(ns.qmax)]
+    rows = dirichlet.survey(ns.qmax)
     return _doc("dirichlet.survey", {"qmax": ns.qmax}, {"records": rows}), []
 
 

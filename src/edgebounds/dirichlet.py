@@ -34,8 +34,8 @@ from .special import digamma_rational, exp1
 
 __all__ = [
     "DirichletCharacter",
-    "SurveyRecord",
     "enumerate_characters",
+    "l1_row",
     "l1_value",
     "l1_value_series",
     "survey",
@@ -397,38 +397,17 @@ def l1_value_series(chi: DirichletCharacter) -> complex:
     return _theta_l1(chi, _theta_weights(chi.modulus, chi.parity))
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
-    """One surveyed character with its envelope comparison."""
-
-    q: int
-    char_index: int
-    conductor: int
-    parity: int
-    L1: complex
-    abs_L1: float
-    C_chi: float
-    bound_upper: Optional[float]
-    bound_valid: bool
-    ratio: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "char_index": self.char_index,
-            "conductor": self.conductor,
-            "parity": self.parity,
-            "re_L1": self.L1.real,
-            "im_L1": self.L1.imag,
-            "abs_L1": self.abs_L1,
-            "C_chi": self.C_chi,
-            "bound_upper": self.bound_upper,
-            "bound_valid": self.bound_valid,
-            "ratio": self.ratio,
-        }
-
-
-_CSV_HEADER = "q,char_index,conductor,parity,re_L1,im_L1,abs_L1,C_chi,bound_upper,bound_valid,ratio"
+def l1_row(chi: DirichletCharacter, val: complex) -> dict:
+    """The row `dirichlet l1` prints for L(1, chi) = val; a survey row's first seven columns."""
+    return {
+        "q": chi.modulus,
+        "char_index": chi.index,
+        "conductor": chi.conductor,
+        "parity": chi.parity,
+        "re_L1": val.real,
+        "im_L1": val.imag,
+        "abs_L1": abs(val),
+    }
 
 
 def _csv_cell(v: object) -> str:
@@ -442,28 +421,29 @@ def _csv_cell(v: object) -> str:
 
 
 def survey_csv(rows: List[dict]) -> str:
-    """CSV document of survey rows (SurveyRecord.to_json_dict), header first.
+    """CSV document of survey rows, headed by the keys of the first.
 
     Nulls become empty cells, booleans lowercase, floats their repr.
     """
-    lines = [_CSV_HEADER]
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in _CSV_HEADER.split(",")))
+        lines.append(",".join(_csv_cell(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
-def survey(q_max: int) -> List[SurveyRecord]:
+def survey(q_max: int) -> List[dict]:
     """Envelope comparison over primitive non-principal chi, 3 <= q <= q_max.
 
     A primitive chi mod q has conductor q, so for q >= 2 it is never the
     principal character (conductor 1), and its analytic conductor and
     envelope depend only on q and the parity: each is computed once per
     (q, parity). The L(1, chi) of one q come from one matrix (_l1_values).
+    Each row is l1_row extended by C_chi, bound_upper, bound_valid and ratio.
     """
     if q_max < 3:
         raise DomainError("survey needs q_max >= 3")
     check_sweep(q_max)
-    records: List[SurveyRecord] = []
+    rows: List[dict] = []
     for q in range(3, q_max + 1):
         chars = enumerate_characters(q, primitive_only=True)
         if not chars:
@@ -478,20 +458,8 @@ def survey(q_max: int) -> List[SurveyRecord]:
                 else:
                     envelopes[chi.parity] = (c_chi, None, False)
             c_chi, bu, bv = envelopes[chi.parity]
-            abs_l1 = abs(val)
-            ratio = None if bu is None else abs_l1 / bu
-            records.append(
-                SurveyRecord(
-                    q=q,
-                    char_index=chi.index,
-                    conductor=chi.conductor,
-                    parity=chi.parity,
-                    L1=val,
-                    abs_L1=abs_l1,
-                    C_chi=c_chi,
-                    bound_upper=bu,
-                    bound_valid=bv,
-                    ratio=ratio,
-                )
-            )
-    return records
+            row = l1_row(chi, val)
+            ratio = None if bu is None else row["abs_L1"] / bu
+            row.update(C_chi=c_chi, bound_upper=bu, bound_valid=bv, ratio=ratio)
+            rows.append(row)
+    return rows

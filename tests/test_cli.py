@@ -299,6 +299,19 @@ def test_survey_csv_shape(tmp_path):
     assert (tmp_path / "s.csv").read_text() == text
 
 
+def test_l1_rows_are_the_survey_rows_first_seven_columns():
+    rows = dirichlet.survey(40)
+    for q in range(3, 41):
+        code, text, _ = cap(["dirichlet", "l1", "--q", str(q)])
+        assert code == 0
+        want = [dict(list(r.items())[:7]) for r in rows if r["q"] == q]
+        assert json.dumps(json.loads(text)["characters"]) == json.dumps(want), q
+    _, text, _ = cap(["dirichlet", "survey", "--qmax", "8", "--format", "csv"])
+    _, doc, _ = cap(["dirichlet", "survey", "--qmax", "8"])
+    header = text.split("\n", 1)[0].split(",")
+    assert all(list(row) == header for row in json.loads(doc)["records"])
+
+
 def test_survey_json_frozen_row():
     code, text, _ = cap(["dirichlet", "survey", "--qmax", "9"])
     assert code == 0
@@ -672,6 +685,17 @@ def test_readme_cli_block_runs_as_written():
             assert text.startswith("q,char_index,") and text.endswith("\n"), line
         else:
             assert json.loads(text)["schema"] == "edgebounds-report/1", line
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    # the values the comment prints for upper_bound(1, 23.0)
+    (line,) = [ln for ln in block.splitlines() if ln.startswith("rep.upper,")]
+    printed = [v.strip() for v in line.split("#", 1)[1].split(",")]
+    assert printed == [repr(names["rep"].upper), repr(names["rep"].lower_reciprocal)]
 
 
 def test_module_entry_point():

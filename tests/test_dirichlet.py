@@ -326,24 +326,24 @@ def test_survey_needs_a_modulus():
 
 
 def test_survey_frozen_rows():
-    recs = survey(9)
-    assert len(recs) == 16
-    assert [(r.q, r.char_index) for r in recs[:4]] == [(3, 1), (4, 1), (5, 1), (5, 2)]
-    by_key = {(r.q, r.char_index): r for r in recs}
+    rows = survey(9)
+    assert len(rows) == 16
+    assert [(r["q"], r["char_index"]) for r in rows[:4]] == [(3, 1), (4, 1), (5, 1), (5, 2)]
+    by_key = {(r["q"], r["char_index"]): r for r in rows}
     r5 = by_key[(5, 1)]
-    assert r5.abs_L1 == pytest.approx(0.8885765876316734, rel=1e-13)
-    assert r5.conductor == 5 and r5.parity == 1
-    assert r5.bound_upper is None and r5.ratio is None and not r5.bound_valid
+    assert r5["abs_L1"] == pytest.approx(0.8885765876316734, rel=1e-13)
+    assert r5["conductor"] == 5 and r5["parity"] == 1
+    assert r5["bound_upper"] is None and r5["ratio"] is None and not r5["bound_valid"]
     r9 = by_key[(9, 1)]
-    assert r9.C_chi == pytest.approx(2.864788975654116, rel=1e-14)
-    assert r9.bound_upper == pytest.approx(-5.384243052573376, rel=1e-12)
-    assert r9.ratio == pytest.approx(-0.22458116477082388, rel=1e-12)
-    assert not r9.bound_valid  # advisory: conductor far below the proven range
+    assert r9["C_chi"] == pytest.approx(2.864788975654116, rel=1e-14)
+    assert r9["bound_upper"] == pytest.approx(-5.384243052573376, rel=1e-12)
+    assert r9["ratio"] == pytest.approx(-0.22458116477082388, rel=1e-12)
+    assert not r9["bound_valid"]  # advisory: conductor far below the proven range
 
 
 def _survey_per_character(q_max):
-    """The survey with the conductor and envelope computed for every chi."""
-    records = []
+    """The survey rows with the conductor and envelope computed for every chi."""
+    rows = []
     for q in range(3, q_max + 1):
         for chi in enumerate_characters(q, primitive_only=True):
             if chi.is_principal:
@@ -354,19 +354,20 @@ def _survey_per_character(q_max):
             if math.log(c_chi) > 1.0:
                 rep = upper_bound(1, math.log(c_chi))
                 bu, bv, ratio = rep.upper, rep.valid, abs(val) / rep.upper
-            records.append(
-                dirichlet.SurveyRecord(
-                    q=q, char_index=chi.index, conductor=chi.conductor, parity=chi.parity,
-                    L1=val, abs_L1=abs(val), C_chi=c_chi, bound_upper=bu, bound_valid=bv,
-                    ratio=ratio,
-                )
+            rows.append(
+                {
+                    "q": q, "char_index": chi.index, "conductor": chi.conductor,
+                    "parity": chi.parity, "re_L1": val.real, "im_L1": val.imag,
+                    "abs_L1": abs(val), "C_chi": c_chi, "bound_upper": bu, "bound_valid": bv,
+                    "ratio": ratio,
+                }
             )
-    return records
+    return rows
 
 
 def test_survey_equals_per_character_reference():
-    got = [repr(r.to_json_dict()) for r in survey(60)]
-    assert got == [repr(r.to_json_dict()) for r in _survey_per_character(60)]
+    got = [repr(r) for r in survey(60)]
+    assert got == [repr(r) for r in _survey_per_character(60)]
 
 
 def test_survey_values_equal_l1_value_bit_for_bit():
@@ -374,7 +375,7 @@ def test_survey_values_equal_l1_value_bit_for_bit():
     def bits(z):
         return z.real.hex(), z.imag.hex()
 
-    got = {(r.q, r.char_index): bits(r.L1) for r in survey(200)}
+    got = {(r["q"], r["char_index"]): (r["re_L1"].hex(), r["im_L1"].hex()) for r in survey(200)}
     want = {
         (q, chi.index): bits(l1_value(chi))
         for q in range(3, 201)
@@ -386,8 +387,7 @@ def test_survey_values_equal_l1_value_bit_for_bit():
 
 
 def test_survey_record_json_shape():
-    rec = survey(5)[-1]
-    doc = rec.to_json_dict()
+    doc = survey(5)[-1]
     assert doc["q"] == 5 and doc["char_index"] == 3
     assert {"re_L1", "im_L1", "abs_L1", "C_chi", "bound_upper", "bound_valid", "ratio"} <= set(doc)
     assert doc["bound_upper"] is None
@@ -396,7 +396,7 @@ def test_survey_record_json_shape():
 
 def test_survey_writes_csv_and_json(tmp_path):
     # the CLI's --out is the one survey writer
-    recs = survey(8)
+    rows = survey(8)
     for fmt in ("csv", "json"):
         argv = ["dirichlet", "survey", "--qmax", "8", "--format", fmt]
         with redirect_stdout(io.StringIO()):
@@ -406,11 +406,11 @@ def test_survey_writes_csv_and_json(tmp_path):
     assert lines[0] == (
         "q,char_index,conductor,parity,re_L1,im_L1,abs_L1,C_chi,bound_upper,bound_valid,ratio"
     )
-    assert len(lines) == 1 + len(recs)
+    assert len(lines) == 1 + len(rows)
     # null bound cells are empty, booleans lowercase
     assert lines[1].endswith(",,false,")
     doc = json.loads((tmp_path / "survey.json").read_text())
-    assert doc["records"] == json.loads(json.dumps([r.to_json_dict() for r in recs]))
+    assert doc["records"] == json.loads(json.dumps(rows))
 
 
 def test_enumerate_rejects_tiny_modulus():
