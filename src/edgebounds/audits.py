@@ -454,31 +454,68 @@ def verify_b_constant() -> AuditRecord:
 # explicit-formula windows
 
 
-def _window_weights(tbl: PrimeTable, x: float) -> tuple:
-    """Character-free factors of both window prime sums, built once per (tbl, x).
+class _WindowGrid:
+    """What the windows at one x on one table share, built once per (tbl, x).
 
-    Over the flat grid of every p^k <= x (primes.flat_prime_powers): (p^k,
-    1 - k log p / log x, k p^k, log p, 1/p^k - 1/x). Every instance
-    windowed at the same x shares it.
+    Over the flat grid of every p^k <= x (primes.flat_prime_powers): pk =
+    p^k, log_num = 1 - k log p / log x, log_den = k p^k, lp = log p and
+    lin_w = 1/p^k - 1/x; with x, log x, sqrt x and tail =
+    trivial_zero_tail(x). It also keeps pk % q for the last modulus asked
+    about (residues), and the local-parameter block of each (q, d, local
+    params) it meets (local_block), so the windows of one modulus share both.
     """
-    xf = float(x)
-    lp, pk, k = flat_prime_powers(prime_power_grid(tbl, xf))
-    return pk, 1.0 - k * lp / math.log(xf), k * pk, lp, 1.0 / pk - 1.0 / xf
+
+    def __init__(self, tbl: PrimeTable, x: float) -> None:
+        xf = _check_window_x(x)
+        lp, pk, k = flat_prime_powers(prime_power_grid(tbl, xf))
+        self.tbl = tbl
+        self.x = xf
+        self.logx = math.log(xf)
+        self.sqx = math.sqrt(xf)
+        self.tail = trivial_zero_tail(xf).value
+        self.pk = pk
+        self.log_num = 1.0 - k * lp / self.logx
+        self.log_den = k * pk
+        self.lp = lp
+        self.lin_w = 1.0 / pk - 1.0 / xf
+        self._q: Optional[int] = None
+        self._res: Optional[np.ndarray] = None
+        self._blocks: Dict[tuple, Tuple[float, float]] = {}
+
+    def residues(self, q: int) -> np.ndarray:
+        """pk % q, reduced once per run of windows with the same modulus."""
+        if q != self._q:
+            self._q, self._res = q, self.pk % q
+        return self._res
+
+    def local_block(self, inst: LFunctionInstance) -> Tuple[float, float]:
+        """(_gamma_block(inst), sum over nonzero kappa of A4 + A5 terms at x).
+
+        _gamma_block depends on q, so the key holds q as well as d and the
+        local parameters.
+        """
+        key = (inst.q, inst.d, inst.local_params)
+        block = self._blocks.get(key)
+        if block is None:
+            kap_sum = 0.0
+            for kap in inst.nonzero_params():
+                kap_sum += _kappa_term(complex(kap)) + kappa_ramp(kap, self.logx).real
+            block = self._blocks[key] = (_gamma_block(inst), kap_sum)
+        return block
 
 
-def _instance_prime_sums(inst: LFunctionInstance, weights: tuple) -> Tuple[float, float]:
+def _instance_prime_sums(inst: LFunctionInstance, grid: _WindowGrid) -> Tuple[float, float]:
     """One pass over p^k <= x: (log-weight sum, linear-weight sum).
 
     log-weight: Re a(p^k) / (k p^k) * (1 - k log p / log x)
     linear-weight: Re a(p^k) * log p * (1/p^k - 1/x)
 
-    weights are _window_weights(tbl, x). Each sum is one exactly rounded
-    fsum (_kernel.exact_sum), so it does not depend on the term order.
+    Each sum is one exactly rounded fsum (_kernel.exact_sum), so it does
+    not depend on the term order.
     """
-    pk_arr, log_num, log_den, lp, lin_w = weights
-    re_a = inst.coefficients(pk_arr).real
+    re_a = inst.coefficients(grid.residues(inst.q)).real
     # keep this operation order: every window document depends on each bit
-    return exact_sum(re_a * log_num / log_den), exact_sum(re_a * lp * lin_w)
+    return exact_sum(re_a * grid.log_num / grid.log_den), exact_sum(re_a * grid.lp * grid.lin_w)
 
 
 def _gamma_block(inst: LFunctionInstance) -> float:
@@ -496,27 +533,17 @@ def _check_window_x(x: float) -> float:
     return xf
 
 
-def explicit_formula_window(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[tuple] = None
-) -> Interval:
-    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
+def _window_parts(inst: LFunctionInstance, grid: _WindowGrid) -> Tuple[float, float, float, float]:
+    """(b_lo, b_hi, mid, err) of inst's window on grid.
 
-    weights may carry _window_weights(tbl, x) shared across instances, else it is built here.
+    [b_lo, b_hi] holds the zero-sum magnitude |Re B|, mid is the log-weight
+    sum plus the gamma block over 2 log x, and err the 2d/(x log^2 x) term.
     """
-    xf = _check_window_x(x)
+    xf, logx, sqx, tx = grid.x, grid.logx, grid.sqx, grid.tail
     d = inst.d
     l = inst.zero_param_count()
-    logx = math.log(xf)
-    sqx = math.sqrt(xf)
-    if weights is None:
-        weights = _window_weights(tbl, xf)
-    s_log, s_lin = _instance_prime_sums(inst, weights)
-    gblock = _gamma_block(inst)
-    tx = trivial_zero_tail(xf).value
-
-    kap_sum = 0.0
-    for kap in inst.nonzero_params():
-        kap_sum += _kappa_term(complex(kap)) + kappa_ramp(kap, logx).real
+    s_log, s_lin = _instance_prime_sums(inst, grid)
+    gblock, kap_sum = grid.local_block(inst)
 
     rhs0 = (
         0.5 * (1.0 - 1.0 / xf) * gblock
@@ -536,14 +563,32 @@ def explicit_formula_window(
         rhs_hi / den_lo,
         rhs_hi / den_hi,
     )
-    # the interval [b_lo, b_hi] holds the zero-sum magnitude |Re B|
     b_lo = max(0.0, min(quots))
     b_hi = max(0.0, max(quots))
-
-    c1_lo = 1.0 / logx - 2.0 / (sqx * logx * logx)
-    c1_hi = 1.0 / logx + 2.0 / (sqx * logx * logx)
     err = 2.0 * d / (xf * logx * logx)
     mid = s_log + gblock / (2.0 * logx)
+    return b_lo, b_hi, mid, err
+
+
+def explicit_formula_window(
+    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[_WindowGrid] = None
+) -> Interval:
+    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
+
+    weights may carry a _WindowGrid(tbl, x) shared across instances, else
+    one is built here; a grid built for another table or x is refused.
+    """
+    xf = check_table_x(_check_window_x(x), tbl.limit)
+    if weights is None:
+        weights = _WindowGrid(tbl, xf)
+    elif weights.tbl is not tbl:
+        raise DomainError("window grid was built on another prime table")
+    elif weights.x != xf:
+        raise DomainError("window grid was built for x=%r, not x=%r" % (weights.x, xf))
+    b_lo, b_hi, mid, err = _window_parts(inst, weights)
+    logx, sqx = weights.logx, weights.sqx
+    c1_lo = 1.0 / logx - 2.0 / (sqx * logx * logx)
+    c1_hi = 1.0 / logx + 2.0 / (sqx * logx * logx)
     return Interval(mid - c1_hi * b_hi - err, mid - c1_lo * b_lo + err)
 
 
@@ -655,7 +700,7 @@ def window_records(chars: Iterable, x: float, limit: int) -> List[AuditRecord]:
         if weights is None:
             check_table_x(_check_window_x(x), limit)
             tbl = build_table(limit)
-            weights = _window_weights(tbl, x)
+            weights = _WindowGrid(tbl, x)
         iv = explicit_formula_window(dirichlet_instance(chi), tbl, x, weights)
         truth = math.log(abs(l1_value(chi)))
         mid = 0.5 * (iv.lo + iv.hi)

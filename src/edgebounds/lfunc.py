@@ -71,11 +71,14 @@ class LFunctionInstance:
     def nonzero_params(self) -> Tuple[complex, ...]:
         return tuple(k for k in self.local_params if k != 0)
 
-    def coefficients(self, pk_arr: np.ndarray) -> np.ndarray:
-        """a(p^k) over an int array of prime powers p^k."""
+    def coefficients(self, res: np.ndarray) -> np.ndarray:
+        """a(p^k) over an int array of residues p^k % q, each in [0, q).
+
+        The residues of one modulus serve every instance with that q.
+        """
         if self.coeff_table is None:
             raise DomainError("instance %r has no coefficient table" % (self.label,))
-        return self.coeff_table[pk_arr % self.q]
+        return self.coeff_table[res]
 
     def coefficient(self, p: int, k: int) -> complex:
         """a(p^k) for one prime power, read from the same table."""

@@ -18,6 +18,7 @@ from edgebounds import (
     extremum_logratio,
     hecke_instance,
     identity_residual_techlem1,
+    l1_value,
     run_audit,
     verify_chandee_grid,
     verify_p2_positivity,
@@ -30,7 +31,8 @@ from edgebounds.audits import (
     _KAPPA_GRID,
     _instance_prime_sums,
     _kappa_term,
-    _window_weights,
+    _window_parts,
+    _WindowGrid,
 )
 from edgebounds.constants import B_ZERO_SUM
 from edgebounds.primes import prime_power_grid
@@ -308,7 +310,7 @@ def test_window_prime_sums_equal_per_prime_reference(table6, q):
     chars = [c for c in enumerate_characters(q, primitive_only=True) if not c.is_principal]
     assert chars
     for x in (132.0, 1000.5, 1e5, 1e6):
-        weights = _window_weights(table6, x)
+        weights = _WindowGrid(table6, x)
         # the per-prime reference costs about 0.1 s per character at 1e6
         for chi in chars if x <= 1e5 else chars[:2]:
             inst = dirichlet_instance(chi)
@@ -330,6 +332,89 @@ def test_window_rejects_bad_or_missing_coefficients(table4):
     shape_only = LFunctionInstance(d=1, q=3, local_params=(1.0,), label="shape-only")
     with pytest.raises(DomainError, match="no coefficient table"):
         explicit_formula_window(shape_only, table4, 1000.0)
+
+
+def test_window_refuses_a_grid_of_another_x_or_table(table4, table6):
+    chi = {c.index: c for c in enumerate_characters(5)}[2]
+    inst = dirichlet_instance(chi)
+    iv = explicit_formula_window(inst, table6, 1e5)
+    assert (iv.lo, iv.hi) == pytest.approx((-0.8430520691677468, -0.8429584732744223), rel=1e-12)
+    assert iv.contains(math.log(abs(l1_value(chi))))
+    # the x = 1e4 grid once gave [-0.825065, -0.824971], which misses log|L| = -0.843019
+    with pytest.raises(DomainError, match="built for x=10000.0, not x=100000.0"):
+        explicit_formula_window(inst, table6, 1e5, _WindowGrid(table6, 1e4))
+    with pytest.raises(DomainError, match="another prime table"):
+        explicit_formula_window(inst, table4, 1000.0, _WindowGrid(table6, 1000.0))
+    # a grid from a larger table does not carry x past the table's own limit
+    small = build_table(200)
+    for grid in (None, _WindowGrid(table4, 1000.0)):
+        with pytest.raises(DomainError, match="beyond table limit 200"):
+            explicit_formula_window(inst, small, 1000.0, grid)
+
+
+def test_one_grid_across_interleaved_moduli_gives_fresh_windows(table4):
+    x = 1000.0
+    chars = {q: enumerate_characters(q, primitive_only=True) for q in (5, 7, 8)}
+    insts = [dirichlet_instance(chi) for q in (5, 7, 5, 8) for chi in chars[q]]
+    table = chars[5][0].value_table() + chars[5][1].value_table()
+    insts.append(LFunctionInstance(d=2, q=5, local_params=(0.0, 1.0), coeff_table=table))
+    grid = _WindowGrid(table4, x)
+    for inst in insts:
+        # q is in the block key: an odd q = 7 window on the q = 5 gamma block moves
+        assert explicit_formula_window(inst, table4, x, grid) == explicit_formula_window(
+            inst, table4, x
+        ), inst.label
+    shape_only = LFunctionInstance(d=1, q=3, local_params=(1.0,), label="shape-only")
+    with pytest.raises(DomainError, match="no coefficient table"):
+        explicit_formula_window(shape_only, table4, x, grid)
+
+
+def _abs_re_b(chi):
+    """|Re B| = Re L'/L(1, chi) + _gamma_block / 2 (Davenport, ch. 12), by mpmath.
+
+    L(1, chi) = -(1/q) sum chi(a) psi(a/q) and
+    L'(1, chi) = -log q L(1, chi) - (1/q) sum chi(a) gamma_1(a/q), from the
+    Laurent expansion of the Hurwitz zeta function at s = 1.
+    """
+    q = chi.modulus
+    table = chi.value_table()
+    with mpmath.workdps(20):
+        terms = [(mpmath.mpc(table[a]), mpmath.mpf(a) / q) for a in range(1, q) if table[a] != 0]
+        l1 = -mpmath.fsum(v * mpmath.digamma(u) for v, u in terms) / q
+        gamma1 = mpmath.fsum(v * mpmath.stieltjes(1, u) for v, u in terms) / q
+        dl1 = -mpmath.log(q) * l1 - gamma1
+        gblock = mpmath.log(q / mpmath.pi) + mpmath.digamma(mpmath.mpf(1 + chi.parity) / 2)
+        return float(mpmath.re(dl1 / l1) + gblock / 2)
+
+
+# (|Re B| - b_lo)/(b_hi - b_lo) for the primitive characters with q <= 7, in
+# enumerate_characters order: (3, 1), (4, 1), (5, 1..3), (7, 1..5)
+_RE_B_POSITIONS = {
+    132.25: (0.4613198704, 0.4499680691, 0.4158770505, 0.4106684927, 0.4158770505,
+             0.6741244224, 0.3484757874, 0.2203501969, 0.3484757874, 0.6741244224),
+    1e3: (0.4812640704, 0.3390068821, 0.3103079371, 0.4174082378, 0.3103079371,
+          0.4745156710, 0.5197552735, 0.5262461460, 0.5197552735, 0.4745156710),
+    1e4: (0.5191271583, 0.6911873866, 0.6448868540, 0.3393445884, 0.6448868540,
+          0.3634436155, 0.4357997540, 0.3930277742, 0.4357997540, 0.3634436155),
+    1e5: (0.4027851989, 0.6730027321, 0.3408406862, 0.6515247419, 0.3408406862,
+          0.2297209937, 0.5891574513, 0.4516039500, 0.5891574513, 0.2297209937),
+}
+
+
+def test_zero_sum_interval_holds_abs_re_b(table6):
+    chars = [chi for q in range(3, 8) for chi in enumerate_characters(q, primitive_only=True)]
+    assert [(c.modulus, c.index) for c in chars] == (
+        [(3, 1), (4, 1)] + [(5, i) for i in (1, 2, 3)] + [(7, i) for i in range(1, 6)]
+    )
+    truths = [_abs_re_b(chi) for chi in chars]
+    for x, frozen in _RE_B_POSITIONS.items():
+        grid = _WindowGrid(table6, x)
+        positions = []
+        for chi, re_b in zip(chars, truths):
+            b_lo, b_hi, _mid, _err = _window_parts(dirichlet_instance(chi), grid)
+            assert b_lo <= re_b <= b_hi, (chi.modulus, chi.index, x)
+            positions.append((re_b - b_lo) / (b_hi - b_lo))
+        assert positions == pytest.approx(frozen, abs=1e-9), x
 
 
 def test_window_audit_sizes_its_own_table_for_fractional_x():

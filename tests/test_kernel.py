@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from edgebounds import (
     _kernel,
+    audits,
     build_table,
     dirichlet_instance,
     enumerate_characters,
     psi_total,
+    run_audit,
     smoothed_sum_linear,
 )
 from edgebounds._kernel import exact_sum
-from edgebounds.audits import _instance_prime_sums, _window_weights
+from edgebounds.audits import _WindowGrid, _instance_prime_sums
 
 
 def _outcome(fn, values):
@@ -190,7 +192,7 @@ def test_exact_sum_needs_no_fallback_on_prime_sums(monkeypatch):
 def test_window_prime_sums_settle_at_the_first_split(monkeypatch):
     # a perf guard without a clock: a row that takes the second split costs
     # two to three times one that does not, so the window sums must not need it
-    weights = _window_weights(build_table(10 ** 4), 1e4)
+    weights = _WindowGrid(build_table(10 ** 4), 1e4)
     calls = _count_fallbacks(monkeypatch)
     second = _count_second_splits(monkeypatch)
     chars = [c for q in range(3, 14) for c in enumerate_characters(q, primitive_only=True)]
@@ -198,6 +200,38 @@ def test_window_prime_sums_settle_at_the_first_split(monkeypatch):
     for chi in chars:
         _instance_prime_sums(dirichlet_instance(chi), weights)
     assert second == [] and calls == []
+
+
+def test_window_sweep_shares_residues_and_local_blocks(monkeypatch):
+    # a perf guard without a clock: the default sweep has 470 characters on
+    # 36 moduli, so p^k mod q is taken once per modulus (it was 470 times)
+    # and digamma runs once per (q, parity) block (it was 946 times)
+    mods, digammas = [], []
+
+    class CountedMod(np.ndarray):
+        """The grid's p^k array, counting each remainder taken of it."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.remainder and inputs[0] is self:
+                mods.append(inputs[1])
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    flat_prime_powers, digamma = audits.flat_prime_powers, audits.digamma
+
+    def counted_grid(grid):
+        lp, pk, k = flat_prime_powers(grid)
+        return lp, pk.view(CountedMod), k
+
+    def counted_digamma(z):
+        digammas.append(z)
+        return digamma(z)
+
+    monkeypatch.setattr(audits, "flat_prime_powers", counted_grid)
+    monkeypatch.setattr(audits, "digamma", counted_digamma)
+    recs = run_audit("window", q_max=50, x=1e5)
+    assert len(recs) == 470 and all(r.verdict == "PASS" for r in recs)
+    assert len(mods) == len(set(mods)) == 36
+    assert len(digammas) <= 139
 
 
 def _assert_rows_match_fsum(matrix):

@@ -13,7 +13,7 @@ from edgebounds import (
     enumerate_characters,
     hecke_instance,
 )
-from edgebounds.audits import _window_weights
+from edgebounds.audits import _WindowGrid
 
 
 def test_instance_validation():
@@ -120,7 +120,7 @@ def test_coefficient_bound_enforced():
     ok = LFunctionInstance(
         d=2, q=2, local_params=(0.0, 1.0), coeff_table=np.array([2.0 + 0j, -2.0 + 0j])
     )
-    assert ok.coefficients(np.array([4, 9, 25])).tolist() == [2, -2, -2]
+    assert ok.coefficients(np.array([4, 9, 25]) % 2).tolist() == [2, -2, -2]
     assert ok.coefficient(3, 2) == -2.0
     with pytest.raises(DomainError):
         LFunctionInstance(
@@ -169,8 +169,8 @@ def test_coefficient_table_is_stored_read_only():
 def test_shape_only_instance_has_no_coefficients(table4):
     inst = hecke_instance(12, 1)
     assert inst.coeff_table is None
-    pk_arr = _window_weights(table4, 1000.0)[0]
+    res = _WindowGrid(table4, 1000.0).residues(inst.q)
     with pytest.raises(DomainError, match="no coefficient table"):
-        inst.coefficients(pk_arr)
+        inst.coefficients(res)
     with pytest.raises(DomainError, match="no coefficient table"):
         inst.coefficient(2, 1)

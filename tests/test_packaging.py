@@ -1,6 +1,7 @@
 """Packaging: pure Python, with nothing generated or ignored under version control."""
 
 import ast
+import importlib
 import subprocess
 from pathlib import Path
 
@@ -106,3 +107,28 @@ def test_every_constant_is_read():
         if d.isupper() and d not in referenced
     ]
     assert unread == []
+
+
+def _tracer_literal(name):
+    """perfbench/tracer.py's module-level name, read as a literal, never imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    (value,) = [node.value for node in tree.body if name in _assigned_names(node)]
+    return ast.literal_eval(value)
+
+
+def test_traced_functions_and_sites_resolve_to_their_definitions():
+    # the tracer patches these by name; a refactor that moves one fails here
+    defined = {}
+    for span, modname, attr in _tracer_literal("FUNCTIONS"):
+        fn = getattr(importlib.import_module(modname), attr)
+        assert callable(fn) and fn.__module__ == modname, span
+        defined[attr] = fn
+    trees = _package_trees()
+    for modname, attr in _tracer_literal("REQUIRED_SITES"):
+        fn = defined[attr]
+        assert getattr(importlib.import_module(modname), attr) is fn, (modname, attr)
+        if modname != fn.__module__:
+            # an importing site calls the function by the name the tracer patches
+            assert attr in _loaded_names(trees[modname.split(".")[1] + ".py"]), (modname, attr)
+    lfunc = importlib.import_module("edgebounds.lfunc")
+    assert callable(lfunc.LFunctionInstance.coefficient)
