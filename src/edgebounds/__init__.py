@@ -10,6 +10,7 @@ one NumPy routine, so ``kernel_backend()`` always reports ``"python"``.
 from .audits import (
     AuditRecord,
     Interval,
+    WindowGrid,
     a_terms_audit,
     explicit_formula_window,
     extremum_h,
@@ -85,6 +86,7 @@ __all__ = [
     "ResourceBudgetError",
     "SeriesValue",
     "WeightedSumResult",
+    "WindowGrid",
     "a_terms_audit",
     "alternating_prime_power_sum",
     "analytic_conductor",

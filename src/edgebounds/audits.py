@@ -12,6 +12,7 @@ PASS when |residual| <= window. Every grid is a fixed lattice, so reruns
 are bit-identical.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -454,21 +455,22 @@ def verify_b_constant() -> AuditRecord:
 # explicit-formula windows
 
 
-class _WindowGrid:
-    """What the windows at one x on one table share, built once per (tbl, x).
+class WindowGrid:
+    """What every window at x shares, on a table of the primes up to limit.
 
-    Over the flat grid of every p^k <= x (primes.flat_prime_powers): pk =
-    p^k, log_num = 1 - k log p / log x, log_den = k p^k, lp = log p and
-    lin_w = 1/p^k - 1/x; with x, log x, sqrt x and tail =
-    trivial_zero_tail(x). It also keeps pk % q for the last modulus asked
-    about (residues), and the local-parameter block of each (q, d, local
-    params) it meets (local_block), so the windows of one modulus share both.
+    x is checked before any sieve (x >= 132, so a nan x fails too, then x <=
+    limit); then the table is sieved, read and dropped. Over the flat grid of
+    every p^k <= x (primes.flat_prime_powers): pk = p^k, log_num = 1 - k log
+    p / log x, log_den = k p^k, lp = log p and lin_w = 1/p^k - 1/x; with x,
+    log x, sqrt x and tail = trivial_zero_tail(x). It also keeps pk % q for
+    the last modulus asked about (residues), and the local-parameter block of
+    each (q, d, local params) it meets (local_block), so the windows of one
+    modulus share both.
     """
 
-    def __init__(self, tbl: PrimeTable, x: float) -> None:
-        xf = _check_window_x(x)
-        lp, pk, k = flat_prime_powers(prime_power_grid(tbl, xf))
-        self.tbl = tbl
+    def __init__(self, x: float, limit: int) -> None:
+        xf = check_table_x(_check_window_x(x), limit)
+        lp, pk, k = flat_prime_powers(prime_power_grid(build_table(limit), xf))
         self.x = xf
         self.logx = math.log(xf)
         self.sqx = math.sqrt(xf)
@@ -504,7 +506,7 @@ class _WindowGrid:
         return block
 
 
-def _instance_prime_sums(inst: LFunctionInstance, grid: _WindowGrid) -> Tuple[float, float]:
+def _instance_prime_sums(inst: LFunctionInstance, grid: WindowGrid) -> Tuple[float, float]:
     """One pass over p^k <= x: (log-weight sum, linear-weight sum).
 
     log-weight: Re a(p^k) / (k p^k) * (1 - k log p / log x)
@@ -533,7 +535,7 @@ def _check_window_x(x: float) -> float:
     return xf
 
 
-def _window_parts(inst: LFunctionInstance, grid: _WindowGrid) -> Tuple[float, float, float, float]:
+def _window_parts(inst: LFunctionInstance, grid: WindowGrid) -> Tuple[float, float, float, float]:
     """(b_lo, b_hi, mid, err) of inst's window on grid.
 
     [b_lo, b_hi] holds the zero-sum magnitude |Re B|, mid is the log-weight
@@ -570,23 +572,10 @@ def _window_parts(inst: LFunctionInstance, grid: _WindowGrid) -> Tuple[float, fl
     return b_lo, b_hi, mid, err
 
 
-def explicit_formula_window(
-    inst: LFunctionInstance, tbl: PrimeTable, x: float, weights: Optional[_WindowGrid] = None
-) -> Interval:
-    """Interval for log|L(1,f)| with every |theta| <= 1 ranged worst-case.
-
-    weights may carry a _WindowGrid(tbl, x) shared across instances, else
-    one is built here; a grid built for another table or x is refused.
-    """
-    xf = check_table_x(_check_window_x(x), tbl.limit)
-    if weights is None:
-        weights = _WindowGrid(tbl, xf)
-    elif weights.tbl is not tbl:
-        raise DomainError("window grid was built on another prime table")
-    elif weights.x != xf:
-        raise DomainError("window grid was built for x=%r, not x=%r" % (weights.x, xf))
-    b_lo, b_hi, mid, err = _window_parts(inst, weights)
-    logx, sqx = weights.logx, weights.sqx
+def explicit_formula_window(inst: LFunctionInstance, grid: WindowGrid) -> Interval:
+    """Interval for log|L(1,f)| at the grid's x, with every |theta| <= 1 ranged worst-case."""
+    b_lo, b_hi, mid, err = _window_parts(inst, grid)
+    logx, sqx = grid.logx, grid.sqx
     c1_lo = 1.0 / logx - 2.0 / (sqx * logx * logx)
     c1_hi = 1.0 / logx + 2.0 / (sqx * logx * logx)
     return Interval(mid - c1_hi * b_hi - err, mid - c1_lo * b_lo + err)
@@ -617,8 +606,9 @@ def a_terms_audit(
         raise DomainError("expected %d nonzero local parameters" % (d - l,))
     if any(k == 0 for k in kaps):
         raise DomainError("zero local parameter passed in nonzero list")
-    if any(k.real < 0 for k in kaps):
-        raise DomainError("local parameters need nonnegative real part")
+    # refuses a nan or infinite part too, which k.real < 0 let through
+    if not all(cmath.isfinite(k) and k.real >= 0 for k in kaps):
+        raise DomainError("local parameters need to be finite with nonnegative real part")
     xf = _check_window_x(x)
     logx = math.log(xf)
     sqx = math.sqrt(xf)
@@ -686,22 +676,19 @@ def _prime_sum_records(
 
 
 def window_records(chars: Iterable, x: float, limit: int) -> List[AuditRecord]:
-    """Window record per primitive non-principal character, one shared table and grid.
+    """Window record per primitive non-principal character, all on one grid.
 
-    At the first character x is checked (x >= 132, then x <= limit), and the
-    table sieved to limit and its grid at x are built; an empty selection
-    checks and sieves nothing. Each record holds log|L(1,chi)| (lhs) against
-    the midpoint of its explicit-formula window at x; it PASSes when the
-    window contains it.
+    The WindowGrid(x, limit) is built at the first character, so an empty
+    selection checks and sieves nothing. Each record holds log|L(1,chi)|
+    (lhs) against the midpoint of its explicit-formula window at x; it
+    PASSes when the window contains it.
     """
     out = []
-    weights = None
+    grid = None
     for chi in chars:
-        if weights is None:
-            check_table_x(_check_window_x(x), limit)
-            tbl = build_table(limit)
-            weights = _WindowGrid(tbl, x)
-        iv = explicit_formula_window(dirichlet_instance(chi), tbl, x, weights)
+        if grid is None:
+            grid = WindowGrid(x, limit)
+        iv = explicit_formula_window(dirichlet_instance(chi), grid)
         truth = math.log(abs(l1_value(chi)))
         mid = 0.5 * (iv.lo + iv.hi)
         half = 0.5 * iv.width()

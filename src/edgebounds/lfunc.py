@@ -1,8 +1,8 @@
 """Degree-d L-function instances and their analytic conductors.
 
 An instance carries the degree, the arithmetic conductor, the d spectral
-parameters (all with nonnegative real part), and optionally one source of
-coefficients: a residue table with a(p^k) = table[p^k % q]. The
+parameters (finite, with nonnegative real part), and optionally one source
+of coefficients: a residue table with a(p^k) = table[p^k % q]. The
 Ramanujan-Petersson bound |a| <= d is checked once, on the q table
 entries, when the instance is built; the coefficients of a whole
 prime-power grid are then one array lookup. Two factories cover the
@@ -10,6 +10,7 @@ concrete cases used by the laboratory: primitive Dirichlet characters
 (degree 1) and shape-only holomorphic cusp forms (degree 2, no table).
 """
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -44,8 +45,9 @@ class LFunctionInstance:
             raise DomainError(
                 "expected %d spectral parameters, got %d" % (self.d, len(params))
             )
-        if any(k.real < 0.0 for k in params):
-            raise DomainError("spectral parameters need nonnegative real part")
+        # refuses a nan or infinite part too, which k.real < 0 let through
+        if not all(cmath.isfinite(k) and k.real >= 0.0 for k in params):
+            raise DomainError("spectral parameters need to be finite with nonnegative real part")
         object.__setattr__(self, "local_params", params)
         if self.coeff_table is None:
             return

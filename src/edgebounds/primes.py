@@ -112,8 +112,10 @@ def is_prime_power(n: int) -> bool:
 
 
 def check_table_x(x: float, limit: int) -> float:
-    """float(x), once it is known not to lie beyond a table sieved to limit."""
+    """float(x), once it is known to be finite and not beyond a table sieved to limit."""
     xf = float(x)
+    if not math.isfinite(xf):
+        raise DomainError("need a finite x, got %r" % (x,))
     if xf > limit:
         raise DomainError("x=%r beyond table limit %d" % (x, limit))
     return xf

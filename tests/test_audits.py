@@ -9,7 +9,7 @@ import pytest
 from edgebounds import (
     DomainError,
     LFunctionInstance,
-    build_table,
+    WindowGrid,
     chandee_margin,
     dirichlet_instance,
     enumerate_characters,
@@ -23,7 +23,7 @@ from edgebounds import (
     verify_chandee_grid,
     verify_p2_positivity,
 )
-from edgebounds import audits
+from edgebounds import _kernel, audits
 from edgebounds.audits import (
     AUDIT_IDS,
     AuditRecord,
@@ -32,7 +32,6 @@ from edgebounds.audits import (
     _instance_prime_sums,
     _kappa_term,
     _window_parts,
-    _WindowGrid,
 )
 from edgebounds.constants import B_ZERO_SUM
 from edgebounds.primes import prime_power_grid
@@ -276,20 +275,31 @@ def test_window_records_frozen_small_moduli():
     assert r8.params["lo"] <= 0.10500911500948218 <= r8.params["hi"]
 
 
-def test_window_truth_is_log_abs_l1(table6):
-    chars = {c.index: c for c in enumerate_characters(4)}
-    inst = dirichlet_instance(chars[1])
-    iv = explicit_formula_window(inst, table6, 1e5)
+def test_window_truth_is_log_abs_l1():
+    grid = WindowGrid(1e5, 10**6)
+    inst = dirichlet_instance({c.index: c for c in enumerate_characters(4)}[1])
+    iv = explicit_formula_window(inst, grid)
     assert iv.lo == pytest.approx(-0.24159498944669316, rel=1e-12)
     assert iv.hi == pytest.approx(-0.24150200802510394, rel=1e-12)
     assert iv.contains(math.log(math.pi / 4.0))
+    chi = {c.index: c for c in enumerate_characters(5)}[2]
+    iv = explicit_formula_window(dirichlet_instance(chi), grid)
+    assert (iv.lo, iv.hi) == pytest.approx((-0.8430520691677468, -0.8429584732744223), rel=1e-12)
+    assert iv.contains(math.log(abs(l1_value(chi))))
 
 
-def test_window_requires_x_floor(table6):
-    chars = {c.index: c for c in enumerate_characters(4)}
-    inst = dirichlet_instance(chars[1])
-    with pytest.raises(DomainError):
-        explicit_formula_window(inst, table6, 100.0)
+def test_window_grid_refuses_bad_x_before_any_sieve(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved to %d" % (limit,))
+
+    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    for x, limit, msg in (
+        (100.0, 10**6, "windows need x >= 132"),
+        (math.nan, 10**6, "windows need x >= 132"),
+        (1000.0, 200, "beyond table limit 200"),
+    ):
+        with pytest.raises(DomainError, match=msg):
+            WindowGrid(x, limit)
 
 
 def _per_prime_prime_sums(inst, tbl, x):
@@ -310,63 +320,45 @@ def test_window_prime_sums_equal_per_prime_reference(table6, q):
     chars = [c for c in enumerate_characters(q, primitive_only=True) if not c.is_principal]
     assert chars
     for x in (132.0, 1000.5, 1e5, 1e6):
-        weights = _WindowGrid(table6, x)
+        grid = WindowGrid(x, table6.limit)
         # the per-prime reference costs about 0.1 s per character at 1e6
         for chi in chars if x <= 1e5 else chars[:2]:
             inst = dirichlet_instance(chi)
-            want = _per_prime_prime_sums(inst, table6, x)
-            assert _instance_prime_sums(inst, weights) == want
-            # the window builds the same weights itself when none are given
-            iv = explicit_formula_window(inst, table6, x)
-            assert iv == explicit_formula_window(inst, table6, x, weights)
+            assert _instance_prime_sums(inst, grid) == _per_prime_prime_sums(inst, table6, x)
 
 
-def test_window_rejects_bad_or_missing_coefficients(table4):
+def test_window_rejects_bad_or_missing_coefficients():
     # a table beyond |a| <= d never becomes an instance to window
     with pytest.raises(DomainError):
         LFunctionInstance(
             d=1, q=3, local_params=(0.0,), label="bad", coeff_table=np.full(3, 5.0 + 0j)
         )
+    grid = WindowGrid(1000.0, 10**4)
     with pytest.raises(DomainError, match="no coefficient table"):
-        explicit_formula_window(hecke_instance(12, 1), table4, 1000.0)
+        explicit_formula_window(hecke_instance(12, 1), grid)
     shape_only = LFunctionInstance(d=1, q=3, local_params=(1.0,), label="shape-only")
     with pytest.raises(DomainError, match="no coefficient table"):
-        explicit_formula_window(shape_only, table4, 1000.0)
+        explicit_formula_window(shape_only, grid)
 
 
-def test_window_refuses_a_grid_of_another_x_or_table(table4, table6):
-    chi = {c.index: c for c in enumerate_characters(5)}[2]
-    inst = dirichlet_instance(chi)
-    iv = explicit_formula_window(inst, table6, 1e5)
-    assert (iv.lo, iv.hi) == pytest.approx((-0.8430520691677468, -0.8429584732744223), rel=1e-12)
-    assert iv.contains(math.log(abs(l1_value(chi))))
-    # the x = 1e4 grid once gave [-0.825065, -0.824971], which misses log|L| = -0.843019
-    with pytest.raises(DomainError, match="built for x=10000.0, not x=100000.0"):
-        explicit_formula_window(inst, table6, 1e5, _WindowGrid(table6, 1e4))
-    with pytest.raises(DomainError, match="another prime table"):
-        explicit_formula_window(inst, table4, 1000.0, _WindowGrid(table6, 1000.0))
-    # a grid from a larger table does not carry x past the table's own limit
-    small = build_table(200)
-    for grid in (None, _WindowGrid(table4, 1000.0)):
-        with pytest.raises(DomainError, match="beyond table limit 200"):
-            explicit_formula_window(inst, small, 1000.0, grid)
-
-
-def test_one_grid_across_interleaved_moduli_gives_fresh_windows(table4):
-    x = 1000.0
+def test_one_grid_across_interleaved_moduli_gives_fresh_windows():
+    x, limit = 1000.0, 10**4
     chars = {q: enumerate_characters(q, primitive_only=True) for q in (5, 7, 8)}
     insts = [dirichlet_instance(chi) for q in (5, 7, 5, 8) for chi in chars[q]]
     table = chars[5][0].value_table() + chars[5][1].value_table()
     insts.append(LFunctionInstance(d=2, q=5, local_params=(0.0, 1.0), coeff_table=table))
-    grid = _WindowGrid(table4, x)
+    # complex kappa, then a repeat after another: the block key is the local
+    # parameters themselves (this probes the key; it is not L(s + it))
+    odd = chars[5][0].value_table()
+    insts += [LFunctionInstance(1, 5, (kap,), coeff_table=odd) for kap in (1 + 1j, 1 + 2j, 1 + 1j)]
+    grid = WindowGrid(x, limit)
     for inst in insts:
         # q is in the block key: an odd q = 7 window on the q = 5 gamma block moves
-        assert explicit_formula_window(inst, table4, x, grid) == explicit_formula_window(
-            inst, table4, x
-        ), inst.label
+        fresh = explicit_formula_window(inst, WindowGrid(x, limit))
+        assert explicit_formula_window(inst, grid) == fresh, inst
     shape_only = LFunctionInstance(d=1, q=3, local_params=(1.0,), label="shape-only")
     with pytest.raises(DomainError, match="no coefficient table"):
-        explicit_formula_window(shape_only, table4, x, grid)
+        explicit_formula_window(shape_only, grid)
 
 
 def _abs_re_b(chi):
@@ -401,14 +393,14 @@ _RE_B_POSITIONS = {
 }
 
 
-def test_zero_sum_interval_holds_abs_re_b(table6):
+def test_zero_sum_interval_holds_abs_re_b():
     chars = [chi for q in range(3, 8) for chi in enumerate_characters(q, primitive_only=True)]
     assert [(c.modulus, c.index) for c in chars] == (
         [(3, 1), (4, 1)] + [(5, i) for i in (1, 2, 3)] + [(7, i) for i in range(1, 6)]
     )
     truths = [_abs_re_b(chi) for chi in chars]
     for x, frozen in _RE_B_POSITIONS.items():
-        grid = _WindowGrid(table6, x)
+        grid = WindowGrid(x, 10**6)
         positions = []
         for chi, re_b in zip(chars, truths):
             b_lo, b_hi, _mid, _err = _window_parts(dirichlet_instance(chi), grid)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgebounds import (
+    WindowGrid,
     _kernel,
     audits,
     build_table,
@@ -20,7 +21,7 @@ from edgebounds import (
     smoothed_sum_linear,
 )
 from edgebounds._kernel import exact_sum
-from edgebounds.audits import _WindowGrid, _instance_prime_sums
+from edgebounds.audits import _instance_prime_sums
 
 
 def _outcome(fn, values):
@@ -192,13 +193,13 @@ def test_exact_sum_needs_no_fallback_on_prime_sums(monkeypatch):
 def test_window_prime_sums_settle_at_the_first_split(monkeypatch):
     # a perf guard without a clock: a row that takes the second split costs
     # two to three times one that does not, so the window sums must not need it
-    weights = _WindowGrid(build_table(10 ** 4), 1e4)
+    grid = WindowGrid(1e4, 10 ** 4)
     calls = _count_fallbacks(monkeypatch)
     second = _count_second_splits(monkeypatch)
     chars = [c for q in range(3, 14) for c in enumerate_characters(q, primitive_only=True)]
     assert len(chars) == 37
     for chi in chars:
-        _instance_prime_sums(dirichlet_instance(chi), weights)
+        _instance_prime_sums(dirichlet_instance(chi), grid)
     assert second == [] and calls == []
 
 

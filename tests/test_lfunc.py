@@ -8,12 +8,23 @@ import pytest
 from edgebounds import (
     DomainError,
     LFunctionInstance,
+    WindowGrid,
+    a_terms_audit,
     analytic_conductor,
     dirichlet_instance,
     enumerate_characters,
     hecke_instance,
 )
-from edgebounds.audits import _WindowGrid
+
+
+def test_non_finite_local_parameters_are_refused():
+    # a nan part fails every comparison and inf passes real >= 0, so the
+    # check must refuse a non-finite part outright
+    for kap in (math.nan, math.inf, complex(1.0, math.inf), complex(0.5, math.nan)):
+        with pytest.raises(DomainError, match="finite with nonnegative real part"):
+            LFunctionInstance(d=1, q=5, local_params=(kap,))
+        with pytest.raises(DomainError, match="finite with nonnegative real part"):
+            a_terms_audit("lower", 1, 0, (kap,), 1e4)
 
 
 def test_instance_validation():
@@ -166,10 +177,10 @@ def test_coefficient_table_is_stored_read_only():
     assert inst.coefficient(5, 3) == 1.0
 
 
-def test_shape_only_instance_has_no_coefficients(table4):
+def test_shape_only_instance_has_no_coefficients():
     inst = hecke_instance(12, 1)
     assert inst.coeff_table is None
-    res = _WindowGrid(table4, 1000.0).residues(inst.q)
+    res = WindowGrid(1000.0, 10**4).residues(inst.q)
     with pytest.raises(DomainError, match="no coefficient table"):
         inst.coefficients(res)
     with pytest.raises(DomainError, match="no coefficient table"):

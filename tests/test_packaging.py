@@ -132,3 +132,18 @@ def test_traced_functions_and_sites_resolve_to_their_definitions():
             assert attr in _loaded_names(trees[modname.split(".")[1] + ".py"]), (modname, attr)
     lfunc = importlib.import_module("edgebounds.lfunc")
     assert callable(lfunc.LFunctionInstance.coefficient)
+
+
+def test_export_list_matches_the_package_imports():
+    # every name __init__.py imports is exported once, and nothing else is
+    import edgebounds
+
+    tree = _package_trees()["__init__.py"]
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(set(edgebounds.__all__)) == len(edgebounds.__all__)
+    assert set(edgebounds.__all__) == set(imported) | {"kernel_backend", "__version__"}

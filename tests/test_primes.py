@@ -18,7 +18,13 @@ from edgebounds import (
     smoothed_sum_linear,
     smoothed_sum_log,
 )
-from edgebounds.primes import MAX_SIEVE_LIMIT, WeightedSumResult, factorize, flat_prime_powers
+from edgebounds.primes import (
+    MAX_SIEVE_LIMIT,
+    WeightedSumResult,
+    check_table_x,
+    factorize,
+    flat_prime_powers,
+)
 
 
 def _naive_spf(n):
@@ -224,6 +230,21 @@ def test_smoothed_log_variants_frozen(table6):
     assert plus.within_window()
     assert minus.residual == pytest.approx(1.1544310880941502, rel=1e-12)
     assert not minus.within_window()
+
+
+def test_non_finite_x_is_refused_by_every_table_read(table4):
+    # nan > limit is false, so the limit check alone lets a nan x through
+    reads = (
+        lambda x: check_table_x(x, table4.limit),
+        lambda x: prime_power_grid(table4, x),
+        lambda x: psi_total(table4, x),
+        lambda x: smoothed_sum_log(table4, x),
+        lambda x: alternating_prime_power_sum(table4, x),
+    )
+    for x in (math.nan, math.inf):
+        for read in reads:
+            with pytest.raises(DomainError, match="need a finite x, got %r" % (x,)):
+                read(x)
 
 
 def test_weighted_sum_result_validation():
