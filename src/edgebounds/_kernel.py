@@ -1,10 +1,16 @@
-"""The two NumPy kernels under the prime tables and the prime sums.
+"""The NumPy kernels under the prime tables and the prime sums.
 
-spf_array is an Eratosthenes sieve over the odd slots: 2 is stamped on every
-even slot, then each odd prime p up to sqrt(limit), largest first, on every
-slot of spf[p*p::2p] by one plain slice assignment. A smaller prime comes
-later and overwrites the slots it shares, so each composite ends with its
-smallest factor; whatever odd slot remains unstamped is prime.
+_odd_primes is the sieve of every prime table: an Eratosthenes sieve with
+one bool per odd integer, so a table to n holds n/2 bytes while it sieves
+(100 MB at MAX_SIEVE_LIMIT = 2e8), and the primes it returns, 8 bytes each.
+
+spf_array, the smallest prime factor of every integer as int32 (4 bytes per
+integer), is no longer called by the package; the tests read primes off it
+as a reference. It stamps 2 on every even slot, then each odd prime p up to
+sqrt(limit), largest first, on every slot of spf[p*p::2p] by one plain
+slice assignment. A smaller prime comes later and overwrites the slots it
+shares, so each composite ends with its smallest factor; whatever odd slot
+remains unstamped is prime.
 
 exact_sum is math.fsum along the last axis of a float64 array, bit for bit,
 done in a few whole-array passes (Rump, Ogita and Oishi, "Accurate
@@ -38,12 +44,22 @@ _U = 2.0 ** -53  # unit roundoff of float64
 
 
 def _odd_primes(n: int) -> np.ndarray:
-    """The odd primes up to n, ascending, from a bool sieve of n + 1 slots."""
-    comp = np.zeros(n + 1, dtype=bool)
+    """The odd primes up to n, ascending, as int64.
+
+    One bool per odd integer: slot i is 2i + 1, and each odd prime p up to
+    sqrt(n) marks its odd multiples from p*p on, slots p*p//2, p*p//2 + p, ...
+    The marks are inverted in place, so no second array the size of the
+    sieve is made.
+    """
+    comp = np.zeros((n + 1) // 2, dtype=bool)
+    comp[:1] = True  # 1 is not prime
     for p in range(3, math.isqrt(n) + 1, 2):
-        if not comp[p]:
-            comp[p * p:: 2 * p] = True
-    return np.flatnonzero(~comp[3::2]) * 2 + 3
+        if not comp[p // 2]:
+            comp[p * p // 2:: p] = True
+    odd = np.flatnonzero(np.logical_not(comp, out=comp))
+    odd *= 2
+    odd += 1
+    return odd
 
 
 def spf_array(limit: int) -> np.ndarray:

@@ -132,14 +132,30 @@ def _r_theta_grid(theta_steps: int):
 # grid inequalities
 
 
+def _trig_margins(r: np.ndarray, th: np.ndarray, cos_th: np.ndarray):
+    """Yield (k, margin) for k = 1.._TRIG_K_MAX, margin = k^2(1-r cos t) - (1-r^k cos kt).
+
+    1 - r cos t is made once; each margin is written into the same two
+    buffers, so it holds only until the next k.
+    """
+    base = 1.0 - r * cos_th
+    margin = np.empty_like(base)
+    term = np.empty_like(base)
+    for k in range(1, _TRIG_K_MAX + 1):
+        np.multiply(k * k, base, out=margin)
+        np.multiply(r ** k, np.cos(k * th), out=term)
+        np.subtract(1.0, term, out=term)
+        margin -= term
+        yield k, margin
+
+
 def verify_trig_inequality(theta_steps: int = 512) -> AuditRecord:
     """min over k <= 20, r in (0,1], theta of k^2(1-r cos t) - (1-r^k cos kt)."""
-    r, th, cos_th = _r_theta_grid(theta_steps)
     min_margin = math.inf
     argk = 1
     min_slack = math.inf
-    for k in range(1, _TRIG_K_MAX + 1):
-        margin = k * k * (1.0 - r * cos_th) - (1.0 - r ** k * np.cos(k * th))
+    r, th, cos_th = _r_theta_grid(theta_steps)
+    for k, margin in _trig_margins(r, th, cos_th):
         m = float(margin.min())
         if m < min_margin:
             min_margin, argk = m, k
@@ -156,13 +172,11 @@ def verify_trig_inequality(theta_steps: int = 512) -> AuditRecord:
     return _margin_record("trig", params, min_margin, 0.0, min_margin)
 
 
-def verify_p2_positivity(x: float, theta_steps: int = 512) -> AuditRecord:
-    """Nonnegativity of the alternating p=2 block after the k>=6 swap.
+def _p2_grid(x: float, theta_steps: int):
+    """(x, k_cut, r, theta, obj): the p = 2 block that verify_p2_positivity scans.
 
-    Exact terms for k <= 5; even k >= 6 replaced by their worst case
-    -k^2(1-r cos t) w_k, odd k >= 7 dropped (their terms are nonnegative).
-    The scanned quantity is a lower bound for the true block, so PASS
-    certifies the block itself.
+    Each term is written into one buffer and added to or taken from obj;
+    1 - r cos t is made once, for the even k >= 6.
     """
     xf = float(x)
     if xf < 100.0:
@@ -175,13 +189,35 @@ def verify_p2_positivity(x: float, theta_steps: int = 512) -> AuditRecord:
         raise DomainError("weights not positive at x=%r" % (x,))
     r, th, cos_th = _r_theta_grid(theta_steps)
     obj = np.zeros((_R_STEPS, theta_steps))
+    term = np.empty_like(obj)
     for k in range(1, min(5, kk) + 1):
-        sgn = 1.0 if k % 2 == 1 else -1.0
-        obj += sgn * (1.0 - r ** k * np.cos(k * th)) * w[k - 1]
-    for k in range(6, kk + 1):
-        if k % 2 == 0:
-            obj -= k * k * (1.0 - r * cos_th) * w[k - 1]
+        # an even k enters with sign -1: obj -= t w has the bits of
+        # obj += (-1.0 t) w, since negation is exact
+        np.multiply(r ** k, np.cos(k * th), out=term)
+        np.subtract(1.0, term, out=term)
+        term *= w[k - 1]
+        if k % 2 == 1:
+            obj += term
+        else:
+            obj -= term
+    base = 1.0 - r * cos_th  # x >= 100, so k_cut >= 6
+    for k in range(6, kk + 1, 2):
+        np.multiply(k * k, base, out=term)
+        term *= w[k - 1]
+        obj -= term
     obj *= LOG_2
+    return xf, kk, r, th, obj
+
+
+def verify_p2_positivity(x: float, theta_steps: int = 512) -> AuditRecord:
+    """Nonnegativity of the alternating p=2 block after the k>=6 swap.
+
+    Exact terms for k <= 5; even k >= 6 replaced by their worst case
+    -k^2(1-r cos t) w_k, odd k >= 7 dropped (their terms are nonnegative).
+    The scanned quantity is a lower bound for the true block, so PASS
+    certifies the block itself.
+    """
+    xf, kk, r, th, obj = _p2_grid(x, theta_steps)
     i, j = np.unravel_index(np.argmin(obj), obj.shape)
     mn = float(obj[i, j])
     params = {

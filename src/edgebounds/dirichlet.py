@@ -299,20 +299,32 @@ def l1_value(chi: DirichletCharacter) -> complex:
     return complex(-re / q, -im / q)
 
 
+# cells of the (characters x (q - 1)) block _l1_values sums at once: 1 MB of
+# complex values, one block for every modulus of a survey to q = 200
+_L1_BLOCK_CELLS = 1 << 16
+
+
 def _l1_values(chars: List[DirichletCharacter]) -> List[complex]:
     """l1_value of each non-principal chi in chars, all mod one q, bit for bit.
 
-    The values chi(a), a = 1..q-1, are stacked into one (k, q - 1) matrix,
+    The values chi(a), a = 1..q-1, of a block of characters are stacked
+    into one matrix of at most _L1_BLOCK_CELLS cells (one row at least),
     and each part of -(1/q) sum chi(a) psi(a/q) is one row-wise exact_sum,
     which returns math.fsum's bits. Each value is built from its two
     floats, so no complex arithmetic can touch a signed zero.
     """
+    if not chars:
+        return []
     q = chars[0].modulus
     psi = _psi_row(q)
-    values = np.array([chi._values[1:q] for chi in chars])
-    re = exact_sum(values.real * psi).tolist()
-    im = exact_sum(values.imag * psi).tolist()
-    return [complex(-r / q, -i / q) for r, i in zip(re, im)]
+    step = max(1, _L1_BLOCK_CELLS // (q - 1))
+    out = []
+    for lo in range(0, len(chars), step):
+        values = np.array([chi._values[1:q] for chi in chars[lo:lo + step]])
+        re = exact_sum(values.real * psi).tolist()
+        im = exact_sum(values.imag * psi).tolist()
+        out.extend(complex(-r / q, -i / q) for r, i in zip(re, im))
+    return out
 
 
 _THETA_TAIL = 2.0 ** -60  # bound on the terms l1_value_series drops

@@ -33,7 +33,7 @@ from edgebounds.audits import (
     _kappa_term,
     _window_parts,
 )
-from edgebounds.constants import B_ZERO_SUM
+from edgebounds.constants import B_ZERO_SUM, LOG_2
 from edgebounds.primes import prime_power_grid
 
 
@@ -78,6 +78,48 @@ def test_p2_grid_zero_margin_at_full_weight():
         assert rec.lhs == 0.0
         assert rec.params["argmin_r"] == 1.0 and rec.params["argmin_theta"] == 0.0
     assert [r.params["k_cut"] for r in recs] == [6, 7, 9]
+
+
+def _one_expression_trig_margins(theta_steps):
+    """Reference: each k's margin as one expression, 1 - r cos t made afresh per k."""
+    r, th, cos_th = audits._r_theta_grid(theta_steps)
+    return [
+        k * k * (1.0 - r * cos_th) - (1.0 - r ** k * np.cos(k * th))
+        for k in range(1, audits._TRIG_K_MAX + 1)
+    ]
+
+
+def _one_expression_p2_grid(x, theta_steps):
+    """Reference: the p = 2 block with each term one expression and a signed weight."""
+    kk = int(x).bit_length() - 1
+    w = [1.0 / (2.0 ** k * k * LOG_2) - 1.0 / (x * math.log(x)) for k in range(1, kk + 1)]
+    r, th, cos_th = audits._r_theta_grid(theta_steps)
+    obj = np.zeros((audits._R_STEPS, theta_steps))
+    for k in range(1, min(5, kk) + 1):
+        sgn = 1.0 if k % 2 == 1 else -1.0
+        obj += sgn * (1.0 - r ** k * np.cos(k * th)) * w[k - 1]
+    for k in range(6, kk + 1):
+        if k % 2 == 0:
+            obj -= k * k * (1.0 - r * cos_th) * w[k - 1]
+    obj *= LOG_2
+    return obj
+
+
+@pytest.mark.parametrize("theta_steps", [8, 64, 512, 1000])
+def test_trig_and_p2_buffers_equal_one_expression_grids(theta_steps):
+    # whole grids, byte for byte: each k's trig margin, and the p = 2 block
+    # at k_cut 6, 7, 9 and 18, so with one to seven even k >= 6
+    grid = audits._r_theta_grid(theta_steps)
+    got = [(k, m.copy()) for k, m in audits._trig_margins(*grid)]
+    want = _one_expression_trig_margins(theta_steps)
+    assert [k for k, _m in got] == list(range(1, audits._TRIG_K_MAX + 1))
+    for (k, m), ref in zip(got, want):
+        assert m.tobytes() == ref.tobytes(), k
+    for x in (100.5, 132.25, 1009.3, 500000.5):
+        xf, kk, _r, _th, obj = audits._p2_grid(x, theta_steps)
+        assert (xf, kk) == (x, int(x).bit_length() - 1)
+        ref = _one_expression_p2_grid(x, theta_steps)
+        assert obj.shape == ref.shape and obj.tobytes() == ref.tobytes(), x
 
 
 def test_p2_domain_rejections():
@@ -292,7 +334,7 @@ def test_window_grid_refuses_bad_x_before_any_sieve(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved to %d" % (limit,))
 
-    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    monkeypatch.setattr(_kernel, "_odd_primes", no_sieve)
     for x, limit, msg in (
         (100.0, 10**6, "windows need x >= 132"),
         (math.nan, 10**6, "windows need x >= 132"),

@@ -112,7 +112,7 @@ def test_table_from_nonfinite_or_oversized_x_exit_two(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("built a sieve to %d" % (limit,))
 
-    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    monkeypatch.setattr(_kernel, "_odd_primes", no_sieve)
     big = str(primes.MAX_SIEVE_LIMIT + 1)
     for argv in (
         ["window", "--q", "5", "--x", "inf"],
@@ -144,7 +144,7 @@ def test_bad_x_refused_before_any_sieve(monkeypatch, command, limit):
     def no_sieve(n):
         raise AssertionError("built a sieve to %d" % (n,))
 
-    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    monkeypatch.setattr(_kernel, "_odd_primes", no_sieve)
     # the --x= form, so that argparse does not read -inf as an option
     xs = ["nan", "inf", "-inf", "1e400", "0", "1"]
     if command[0] != "primesums":
@@ -173,7 +173,7 @@ def test_x_refused_before_sieving(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("built a sieve to %d" % (limit,))
 
-    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    monkeypatch.setattr(_kernel, "_odd_primes", no_sieve)
     for argv in (
         ["window", "--q", "5", "--x", "3e7", "--sieve-limit", "29999999"],
         ["primesums", "--x", "3e7", "--sieve-limit", "29999999"],
@@ -194,7 +194,7 @@ def test_window_empty_selection_builds_no_table(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("built a sieve to %d" % (limit,))
 
-    monkeypatch.setattr(_kernel, "spf_array", no_sieve)
+    monkeypatch.setattr(_kernel, "_odd_primes", no_sieve)
     # no primitive character mod 6: the document once sieved to 2e7 first
     code, text, err = cap(["window", "--q", "6", "--x", "2e7"])
     assert (code, err) == (0, "")
@@ -463,6 +463,21 @@ def test_audit_documents_pinned(argv, want_code, digest):
 def test_survey_documents_pinned(argv, digest):
     # frozen bit for bit: the L(1) kernel and the JSON writer may change, the bytes may not
     code, text, err = cap(argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "q, digest",
+    [
+        (199, "ad9760c9a2ab613e22d5b6230e2eb06434207619f66bf59b07574b5375c7a501"),
+        (2003, "b5e7e88992f209bba14b1cb34fa2d69693c3d97fbca6bdef73ecf5d0149da686"),
+    ],
+)
+def test_dirichlet_l1_documents_pinned(q, digest):
+    # every primitive character of the modulus, as the one-at-a-time
+    # l1_value printed them: one block of rows at q = 199, many at q = 2003
+    code, text, err = cap(["dirichlet", "l1", "--q", str(q)])
     assert code == 0 and err == ""
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 

@@ -50,19 +50,32 @@ def test_spf_matches_trial_division():
                 assert not np.any((n % q == 0) & (p > q)), (limit, q)
 
 
-def test_prime_list_matches_naive(monkeypatch):
+def test_prime_list_matches_naive():
     naive = [n for n in range(2, 3001) if _naive_spf(n) == n]
-    assert build_table(3000).primes.tolist() == naive
-    # several scan slices, the last one partial
-    monkeypatch.setattr(edgebounds.primes, "_PRIME_SCAN", 256)
     tbl = build_table(3000)
     assert tbl.primes.dtype == np.int64
     assert tbl.primes.tolist() == naive
 
 
+def _spf_primes(limit):
+    """The primes up to limit read off the smallest-prime-factor sieve: spf[n] == n."""
+    spf = _kernel.spf_array(limit)
+    n = np.arange(limit + 1)
+    return n[(n >= 2) & (spf == n)]
+
+
+def test_odd_only_sieve_matches_spf_sieve():
+    # the table's odd-only bool sieve against the primes of spf_array, at
+    # every limit to 3000 (each side of 3^2 .. 53^2) and two past 10^6
+    for limit in list(range(2, 3001)) + [10 ** 6, 2 * 10 ** 6 + 3]:
+        primes = build_table(limit).primes
+        assert primes.dtype == np.int64, limit
+        assert np.array_equal(primes, _spf_primes(limit)), limit
+
+
 def test_sieve_edges_match_trial_division():
     # every small limit, and each side of every square of a prime <= 200,
-    # where a sieving prime starts to stamp and the prime scan's split moves
+    # where a sieving prime starts to mark
     small = [n for n in range(2, 201) if _naive_spf(n) == n]
     top = 199 ** 2 + 1
     ref = np.zeros(top + 1, dtype=np.int32)
@@ -89,8 +102,8 @@ def test_build_table_sieves_once(monkeypatch):
         calls.append(limit)
         return sieve(limit)
 
-    sieve = _kernel.spf_array
-    monkeypatch.setattr(_kernel, "spf_array", counted)
+    sieve = _kernel._odd_primes
+    monkeypatch.setattr(_kernel, "_odd_primes", counted)
     build_table(10 ** 5)
     assert calls == [10 ** 5]
 
