@@ -181,7 +181,7 @@ def _window(ns: argparse.Namespace) -> _Result:
 
 def _dirichlet_l1(ns: argparse.Namespace) -> _Result:
     chars = _selected_chars(ns.q, ns.index)
-    rows = [dirichlet.l1_row(chi, v) for chi, v in zip(chars, dirichlet._l1_values(chars))]
+    rows = [dirichlet.l1_row(chi, dirichlet.l1_value(chi)) for chi in chars]
     params = {"q": ns.q, "index": ns.index}
     return _doc("dirichlet.l1", params, {"characters": rows}), []
 

@@ -12,8 +12,13 @@ platform-independent.
 L(1, chi) is evaluated two independent ways: a closed finite sum over
 digamma values at rationals, and, for primitive chi, the rapidly
 convergent series from the theta functional equation, with a proven tail
-bound and the root number from the Gauss sum. The survey compares
-|L(1, chi)| against the conditional upper envelope.
+bound and the root number from the Gauss sum. The characters built
+together (all of one enumerate_characters call, or the one of
+primitive_character) share one _Block: their frozen value matrix, whose
+rows they view. Either oracle, asked for one character, evaluates every
+row of its block in one pass over that matrix, a chunk of rows at a time,
+and the block keeps the values as long as any of its characters lives.
+The survey compares |L(1, chi)| against the conditional upper envelope.
 """
 
 import itertools
@@ -172,10 +177,12 @@ class DirichletCharacter:
     primitive: bool
     index: int
     _values: np.ndarray = field(repr=False, compare=False)
+    _block: "_Block" = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
 
     @property
     def is_principal(self) -> bool:
-        return all(c == 0 for c in self.exponents)
+        return not any(self.exponents)
 
     def value(self, n: int) -> complex:
         return complex(self._values[n % self.modulus])
@@ -190,8 +197,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 # cells of the (characters x q) value matrix one modulus may build: 160 MB
-# of complex values, plus an int64 phase matrix half that size
+# of complex values
 MAX_VALUE_CELLS = 10 ** 7
+
+# cells of the value matrix one chunk of rows spans while the matrix is
+# filled and while a _Block evaluates L(1): 1 MB of complex values, the whole
+# matrix of every modulus of a survey to q = 200
+_L1_BLOCK_CELLS = 1 << 16
 
 
 def _check_value_cells(rows: int, q: int) -> None:
@@ -209,13 +221,14 @@ def check_sweep(q_max: int) -> None:
 
 
 def _characters(g: _UnitGroup, keys: List[_Key]) -> List[DirichletCharacter]:
-    """The characters with the given keys, one value-matrix row each.
+    """The characters with the given keys, one row each of one shared _Block.
 
-    All phases come from one integer product dlog @ coeff^T, reduced mod
-    the common root order, and each value is looked up in the table of
-    exp(2 pi i k / root_order); the matrix is frozen, so the rows are too.
-    The index is the C-order position of the exponents. A matrix beyond
-    MAX_VALUE_CELLS is refused before any array is made.
+    The phases of a chunk of at most _L1_BLOCK_CELLS cells are one integer
+    product coeff @ dlog^T, reduced mod the common root order, and each
+    value is looked up in the table of exp(2 pi i k / root_order), written
+    into the preallocated matrix; the matrix is frozen, so the rows are
+    too. The index is the C-order position of the exponents. A matrix
+    beyond MAX_VALUE_CELLS is refused before any array is made.
     """
     q = g.q
     _check_value_cells(len(keys), q)
@@ -223,11 +236,14 @@ def _characters(g: _UnitGroup, keys: List[_Key]) -> List[DirichletCharacter]:
     # with no generators (q <= 2, at most one key) the index comes back 0-d
     index = np.ravel_multi_index(exps.T, g.orders).reshape(-1).tolist()
     coeff = exps * np.array(g.phase_weights, dtype=np.int64)
-    phases = (g.dlog @ coeff.T) % g.root_order
     roots = np.exp(2j * np.pi * np.arange(g.root_order) / g.root_order)
     values = np.zeros((len(keys), q), dtype=np.complex128)
-    values[:, g.units] = roots[phases.T]
-    _frozen(values)
+    step = max(1, _L1_BLOCK_CELLS // q)
+    for lo in range(0, len(keys), step):
+        phases = coeff[lo:lo + step] @ g.dlog.T
+        phases %= g.root_order
+        values[lo:lo + step, g.units] = roots[phases]
+    block = _Block(_frozen(values), keys)
     return [
         DirichletCharacter(
             modulus=q,
@@ -236,9 +252,11 @@ def _characters(g: _UnitGroup, keys: List[_Key]) -> List[DirichletCharacter]:
             parity=parity,
             primitive=(cond == q),
             index=i,
-            _values=row,
+            _values=values[row],
+            _block=block,
+            _row=row,
         )
-        for (e, cond, parity), i, row in zip(keys, index, values)
+        for row, ((e, cond, parity), i) in enumerate(zip(keys, index))
     ]
 
 
@@ -287,46 +305,6 @@ def _psi_row(q: int) -> np.ndarray:
     return digamma_rational(q)
 
 
-def l1_value(chi: DirichletCharacter) -> complex:
-    """Edge value via the finite digamma sum -(1/q) sum chi(a) psi(a/q)."""
-    if chi.is_principal:
-        raise DomainError("principal character excluded (pole)")
-    q = chi.modulus
-    psi = _psi_row(q)
-    vt = chi._values[1:q]
-    re = math.fsum((vt.real * psi).tolist())
-    im = math.fsum((vt.imag * psi).tolist())
-    return complex(-re / q, -im / q)
-
-
-# cells of the (characters x (q - 1)) block _l1_values sums at once: 1 MB of
-# complex values, one block for every modulus of a survey to q = 200
-_L1_BLOCK_CELLS = 1 << 16
-
-
-def _l1_values(chars: List[DirichletCharacter]) -> List[complex]:
-    """l1_value of each non-principal chi in chars, all mod one q, bit for bit.
-
-    The values chi(a), a = 1..q-1, of a block of characters are stacked
-    into one matrix of at most _L1_BLOCK_CELLS cells (one row at least),
-    and each part of -(1/q) sum chi(a) psi(a/q) is one row-wise exact_sum,
-    which returns math.fsum's bits. Each value is built from its two
-    floats, so no complex arithmetic can touch a signed zero.
-    """
-    if not chars:
-        return []
-    q = chars[0].modulus
-    psi = _psi_row(q)
-    step = max(1, _L1_BLOCK_CELLS // (q - 1))
-    out = []
-    for lo in range(0, len(chars), step):
-        values = np.array([chi._values[1:q] for chi in chars[lo:lo + step]])
-        re = exact_sum(values.real * psi).tolist()
-        im = exact_sum(values.imag * psi).tolist()
-        out.extend(complex(-r / q, -i / q) for r, i in zip(re, im))
-    return out
-
-
 _THETA_TAIL = 2.0 ** -60  # bound on the terms l1_value_series drops
 
 
@@ -367,19 +345,91 @@ def _phases(q: int) -> np.ndarray:
     return _frozen(np.exp(2j * np.pi * np.arange(q) / q))
 
 
-def _root_number(chi: DirichletCharacter) -> complex:
-    """W = tau(chi)/(i^a sqrt q), with the Gauss sum tau(chi) = sum chi(m) e(m/q)."""
-    tau = complex(np.dot(chi._values, _phases(chi.modulus)))
-    return tau / ((1j if chi.parity else 1.0) * math.sqrt(chi.modulus))
+class _Block:
+    """Characters mod q built together: their frozen (k x q) value matrix,
+    each row's key (exponents, conductor, parity), and, once asked, the
+    L(1) of every row.
+
+    Each oracle makes one pass over all rows the first time any row's value
+    is asked for, a chunk of rows (at most _L1_BLOCK_CELLS value cells) at a
+    time, and keeps the values for the block's life. A pass takes no lock:
+    threads sharing the block may each run it, and each stores the same
+    complete result in one assignment. Every sum is an elementwise product
+    reduced along the row: no 2-D @ or np.dot, whose BLAS threads would
+    compete with the caller's.
+    """
+
+    def __init__(self, values: np.ndarray, keys: List[_Key]) -> None:
+        self.values = values
+        self.keys = keys
+        self._digamma: Optional[List[complex]] = None
+        self._theta: Optional[Tuple[List[complex], np.ndarray]] = None
+
+    def digamma_l1(self) -> List[complex]:
+        """-(1/q) sum chi(a) psi(a/q) of every row, each with math.fsum's bits.
+
+        The real and imaginary products of a chunk of k rows are stacked
+        into one (2k, q - 1) array and summed by one row-wise exact_sum,
+        which returns math.fsum's bits. Each value is built from its two
+        floats, so no complex arithmetic can touch a signed zero. The
+        principal row's value is computed too, and never returned by
+        l1_value.
+        """
+        if self._digamma is None:
+            k, q = self.values.shape
+            psi = _psi_row(q)
+            step = max(1, _L1_BLOCK_CELLS // (q - 1))
+            out: List[complex] = []
+            for lo in range(0, k, step):
+                v = self.values[lo:lo + step, 1:]
+                n = v.shape[0]
+                terms = np.concatenate((v.real, v.imag))
+                terms *= psi
+                sums = exact_sum(terms).tolist()
+                out += [complex(-r / q, -i / q) for r, i in zip(sums[:n], sums[n:])]
+            self._digamma = out
+        return self._digamma
+
+    def theta_l1(self) -> Tuple[List[complex], np.ndarray]:
+        """The theta series' L(1) and the root number W of every row; nan on an imprimitive row.
+
+        For each parity a, the primitive rows of a chunk are gathered once
+        at the n mod q of _theta_weights(q, a), and their Gauss sums
+        tau = sum chi(m) e(m/q) taken in the same pass; then
+        W = tau/(i^a sqrt q) and L(1) = sum chi(n) g_n + W conj(sum chi(n) h_n).
+        """
+        if self._theta is None:
+            k, q = self.values.shape
+            l1 = np.full(k, np.nan, dtype=np.complex128)
+            root = np.full(k, np.nan, dtype=np.complex128)
+            for parity in (0, 1):
+                rows = [r for r, (_e, c, p) in enumerate(self.keys) if c == q and p == parity]
+                if not rows:
+                    continue
+                idx, g, h = _theta_weights(q, parity)
+                phases = _phases(q)
+                denom = (1j if parity else 1.0) * math.sqrt(q)
+                step = max(1, _L1_BLOCK_CELLS // max(q, idx.size))
+                for lo in range(0, len(rows), step):
+                    part = rows[lo:lo + step]
+                    v = self.values[part]
+                    w = np.add.reduce(v * phases, 1) / denom
+                    at_n = v[:, idx]
+                    root[part] = w
+                    l1[part] = np.add.reduce(at_n * g, 1) + w * np.add.reduce(at_n * h, 1).conj()
+            self._theta = (l1.tolist(), _frozen(root))
+        return self._theta
 
 
-def _theta_l1(
-    chi: DirichletCharacter, weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> complex:
-    """sum chi(n) g_n + W conj(sum chi(n) h_n) over the n of weights."""
-    idx, g, h = weights
-    v = chi._values[idx]
-    return complex(np.dot(v, g)) + _root_number(chi) * complex(np.dot(v, h)).conjugate()
+def l1_value(chi: DirichletCharacter) -> complex:
+    """Edge value via the finite digamma sum -(1/q) sum chi(a) psi(a/q).
+
+    Its bits are those of math.fsum over each part's q - 1 terms; the value
+    comes from the pass over chi's whole block (_Block.digamma_l1).
+    """
+    if chi.is_principal:
+        raise DomainError("principal character excluded (pole)")
+    return chi._block.digamma_l1()[chi._row]
 
 
 def l1_value_series(chi: DirichletCharacter) -> complex:
@@ -400,13 +450,14 @@ def l1_value_series(chi: DirichletCharacter) -> complex:
     f(n) = sqrt(q)/(pi n^2) for a = 0. Past m = N + 1, x_n grows by at least
     delta = pi (2m + 1)/q per step and f decreases, so both tails together
     are at most 2 f(m) e^-x_m/(1 - e^-delta). Only primitive, non-principal
-    chi have this functional equation; any other raises DomainError.
+    chi have this functional equation; any other raises DomainError. The
+    value comes from the pass over chi's whole block (_Block.theta_l1).
     """
     if chi.is_principal:
         raise DomainError("principal character excluded (pole)")
     if not chi.primitive:
         raise DomainError("character mod %d is imprimitive" % (chi.modulus,))
-    return _theta_l1(chi, _theta_weights(chi.modulus, chi.parity))
+    return chi._block.theta_l1()[0][chi._row]
 
 
 def l1_row(chi: DirichletCharacter, val: complex) -> dict:
@@ -449,7 +500,7 @@ def survey(q_max: int) -> List[dict]:
     A primitive chi mod q has conductor q, so for q >= 2 it is never the
     principal character (conductor 1), and its analytic conductor and
     envelope depend only on q and the parity: each is computed once per
-    (q, parity). The L(1, chi) of one q come from one matrix (_l1_values).
+    (q, parity). The L(1, chi) of one q come from one pass (l1_value).
     Each row is l1_row extended by C_chi, bound_upper, bound_valid and ratio.
     """
     if q_max < 3:
@@ -461,7 +512,8 @@ def survey(q_max: int) -> List[dict]:
         if not chars:
             continue
         envelopes: Dict[int, Tuple[float, Optional[float], bool]] = {}
-        for chi, val in zip(chars, _l1_values(chars)):
+        for chi in chars:
+            val = l1_value(chi)
             if chi.parity not in envelopes:
                 c_chi = analytic_conductor(dirichlet_instance(chi))
                 if math.log(c_chi) > 1.0:

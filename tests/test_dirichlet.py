@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import sys
+import threading
+import tracemalloc
 from contextlib import redirect_stdout
 
 import mpmath
@@ -206,18 +209,38 @@ def _l1_value_per_term(chi):
     return complex(-re / q, -im / q)
 
 
+def _bits(z):
+    # float.hex, not ==: == cannot see a signed zero flip
+    return z.real.hex(), z.imag.hex()
+
+
 def _q1013_characters():
     return [dirichlet.primitive_character(1013, i) for i in (1, 2, 506, 1011)]
 
 
+def _block_digamma(chi):
+    """The digamma-row value of chi's row in its block; l1_value refuses the principal one."""
+    return chi._block.digamma_l1()[chi._row]
+
+
 def test_l1_oracles_equal_per_term_sums():
-    cases = [(q, enumerate_characters(q, primitive_only=True)) for q in range(3, 61)]
-    cases.append((1013, _q1013_characters()))
-    for q, chars in cases:
-        for chi in chars:
-            if chi.is_principal:
-                continue
-            assert l1_value(chi) == _l1_value_per_term(chi), (q, chi.index)
+    # characters from each builder: every row of enumerate_characters(q) (one
+    # block with principal and imprimitive rows), primitive_only, and the
+    # one-row blocks of primitive_character
+    cases = [
+        (q, enumerate_characters(q), enumerate_characters(q, primitive_only=True))
+        for q in [*range(3, 61), 97, 128, 200]
+    ]
+    cases.append((1013, [], _q1013_characters()))
+    for q, every, kept in cases:
+        ref = {chi.index: _bits(_l1_value_per_term(chi)) for chi in every}
+        for chi in every:
+            got = _block_digamma(chi) if chi.is_principal else l1_value(chi)
+            assert _bits(got) == ref[chi.index], (q, chi.index)
+        for chi in kept:
+            want = ref.get(chi.index) or _bits(_l1_value_per_term(chi))
+            assert _bits(l1_value(chi)) == want, (q, chi.index)
+            assert _bits(l1_value(dirichlet.primitive_character(q, chi.index))) == want
 
 
 def _primitive(q):
@@ -241,13 +264,37 @@ def test_l1_series_class_numbers(q, h):
     assert abs(math.sqrt(q) / math.pi * l1_value_series(legendre) - h) <= 1e-12
 
 
+def _root_number(chi):
+    """W = tau(chi)/(i^a sqrt q), with the Gauss sum tau(chi) = sum chi(m) e(m/q), for one chi."""
+    q = chi.modulus
+    tau = complex(np.dot(chi._values, np.exp(2j * np.pi * np.arange(q) / q)))
+    return tau / ((1j if chi.parity else 1.0) * math.sqrt(q))
+
+
+def _theta_l1(chi, weights):
+    """sum chi(n) g_n + W conj(sum chi(n) h_n) over the n of weights, for one chi."""
+    idx, g, h = weights
+    v = chi._values[idx]
+    return complex(np.dot(v, g)) + _root_number(chi) * complex(np.dot(v, h)).conjugate()
+
+
 def test_root_numbers_have_modulus_one():
-    worst = max(
-        abs(abs(dirichlet._root_number(chi)) - 1.0)
-        for q in range(3, 201)
-        for chi in _primitive(q)
-    )
-    assert worst <= 1e-13
+    # read from the block's Gauss sums, one pass per modulus
+    roots = [
+        chi._block.theta_l1()[1][chi._row] for q in range(3, 201) for chi in _primitive(q)
+    ]
+    assert len(roots) == 7516
+    assert max(abs(abs(w) - 1.0) for w in roots) <= 1e-13
+
+
+def test_block_theta_values_equal_per_character_reference():
+    worst = 0.0
+    for q in range(3, 201):
+        for chi in _primitive(q):
+            want = _theta_l1(chi, dirichlet._theta_weights(q, chi.parity))
+            worst = max(worst, abs(l1_value_series(chi) - want))
+            assert abs(chi._block.theta_l1()[1][chi._row] - _root_number(chi)) <= 4e-15
+    assert worst <= 4e-15
 
 
 def test_l1_series_agrees_with_l1_value_to_1e13():
@@ -305,7 +352,7 @@ def test_theta_tail_bound_holds(q):
         extra = tuple(w[:10] for w in far)
         for chi in chars:
             if chi.parity == parity:
-                assert abs(dirichlet._theta_l1(chi, extra)) <= bound, chi.index
+                assert abs(_theta_l1(chi, extra)) <= bound, chi.index
 
 
 def test_l1_series_rejects_principal_and_imprimitive():
@@ -318,6 +365,34 @@ def test_l1_series_rejects_principal_and_imprimitive():
     for chi in imprimitive:
         with pytest.raises(DomainError, match="imprimitive"):
             l1_value_series(chi)
+
+
+@pytest.mark.parametrize("q", [12, 45, 64])
+def test_mixed_block_refuses_rows_and_keeps_the_rest(q):
+    chars = enumerate_characters(q)  # one block of principal, imprimitive and primitive rows
+    assert len({id(c._block) for c in chars}) == 1
+    principal, *rest = chars
+    assert principal.is_principal and not any(c.is_principal for c in rest)
+    imprimitive = [c for c in rest if not c.primitive]
+    primitive = [c for c in rest if c.primitive]
+    assert imprimitive and primitive
+    # a refused row first: the passes it does not start still serve the others
+    for oracle in (l1_value, l1_value_series):
+        with pytest.raises(DomainError, match="principal"):
+            oracle(principal)
+    for chi in imprimitive:
+        with pytest.raises(DomainError, match="imprimitive"):
+            l1_value_series(chi)
+        assert _bits(l1_value(chi)) == _bits(_l1_value_per_term(chi))
+    l1, roots = principal._block.theta_l1()
+    for chi in imprimitive + [principal]:
+        assert cmath.isnan(l1[chi._row]) and cmath.isnan(roots[chi._row])
+    for chi in primitive:
+        assert abs(abs(roots[chi._row]) - 1.0) <= 1e-13
+        assert abs(l1_value_series(chi) - l1_value(chi)) <= 1e-13
+    for oracle in (l1_value, l1_value_series):  # still refused once the block has its values
+        with pytest.raises(DomainError, match="principal"):
+            oracle(principal)
 
 
 def test_survey_needs_a_modulus():
@@ -371,13 +446,9 @@ def test_survey_equals_per_character_reference():
 
 
 def test_survey_values_equal_l1_value_bit_for_bit():
-    # float.hex, not ==: == cannot see a signed zero flip
-    def bits(z):
-        return z.real.hex(), z.imag.hex()
-
     got = {(r["q"], r["char_index"]): (r["re_L1"].hex(), r["im_L1"].hex()) for r in survey(200)}
     want = {
-        (q, chi.index): bits(l1_value(chi))
+        (q, chi.index): _bits(l1_value(chi))
         for q in range(3, 201)
         for chi in enumerate_characters(q, primitive_only=True)
         if not chi.is_principal
@@ -411,6 +482,51 @@ def test_survey_writes_csv_and_json(tmp_path):
     assert lines[1].endswith(",,false,")
     doc = json.loads((tmp_path / "survey.json").read_text())
     assert doc["records"] == json.loads(json.dumps(rows))
+
+
+def test_one_block_shared_by_threads_gives_one_set_of_values():
+    # a block's passes run on first use, unlocked: threads that share its
+    # characters may each run one, and each stores the same complete values
+    want = {c.index: (_bits(l1_value(c)), l1_value_series(c)) for c in _primitive(97)}
+    chars = _primitive(97)
+    got = [None] * 4
+
+    def work(i):  # thread i starts at row i
+        got[i] = {c.index: (_bits(l1_value(c)), l1_value_series(c)) for c in chars[i:] + chars[:i]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+
+
+def test_value_matrix_and_l1_passes_keep_temporaries_bounded():
+    # the phases, the root gather and both oracles' passes go a chunk of at
+    # most _L1_BLOCK_CELLS cells (1 MB of complex values) at a time, so past
+    # the (k x q) value matrix itself only a few chunks are ever held; whole-
+    # matrix phases and gathers would hold 1.5 matrices more (23 MB at q = 1009)
+    q, chunk = 1009, 16 * dirichlet._L1_BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        chars = enumerate_characters(q)
+        built = tracemalloc.get_traced_memory()[1]
+        l1_value(chars[1])
+        l1_value_series(chars[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = chars[0]._block.values.nbytes
+    assert matrix == len(chars) * q * 16 > 15 * chunk
+    assert built - matrix < 3 * chunk
+    assert peak - matrix < 6 * chunk
 
 
 def test_enumerate_rejects_tiny_modulus():
