@@ -19,14 +19,14 @@ extraction splits each row into high parts with an exact sum s1 and low
 parts with |low| <= u sigma. That bound alone limits the error of the low
 parts' float sum r, so when s1 + (r - e) and s1 + (r + e), two IEEE
 additions, round to one float, the row is settled; in 2-D this is a few
-array operations over all rows. Only the rows it leaves go on: their low
-parts are split again, into an exact s2 and a rest whose own measured bound
-certifies s1 + s2 + rest. Any row neither certificate covers goes to
-math.fsum itself.
+array operations over all rows. Each row it leaves goes on by itself: its
+low parts are split again, into an exact s2 and a rest that the same
+a-priori bound, at the rest's own sigma, certifies with s1 + s2. Any row
+neither certificate covers goes to math.fsum itself.
 """
 
 import math
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -76,63 +76,46 @@ def spf_array(limit: int) -> np.ndarray:
     return spf
 
 
-def _tops(rows: np.ndarray) -> np.ndarray:
-    """max |term| of each row of a 2-D array (nan on a row with a nan), from
-    two read-only reductions instead of an np.abs temporary."""
-    return np.maximum(np.maximum.reduce(rows, 1), -np.minimum.reduce(rows, 1))
+def _radius(n: int, sigma):
+    """e = 2 n^2 u^2 sigma, a priori, with no pass over the parts: n parts
+    each at most u sigma have a float sum within (n - 1) u n u sigma /
+    (1 - (n - 1) u) <= e of their exact sum, with the one rounding of
+    2n * n inside the factor of 2. sigma is a float or an array."""
+    return 2.0 * n * n * _U * _U * sigma
 
 
-def _extract(rows: np.ndarray, tops: List[float], m: int) -> List[float]:
-    """Exact row sums of the high parts of rows split at sigma; rows keep the low parts.
+def _second_split(terms: np.ndarray, s1: float, low: np.ndarray, m: int) -> float:
+    """math.fsum of the 1-D row terms, given s1 and low from its first split.
 
-    Each row has its own sigma = 2^(e + m) with top < 2^e and 2^m >= n + 2,
-    so every high part is a multiple of ulp(sigma)/2 no larger than
-    sigma / (n + 2): any summation order is exact, rows == high + low
-    exactly and |low| <= u sigma (ExtractVector). The caller keeps
-    2^-900 <= top and sigma <= 2^900 on every row whose result it uses.
-    The columns go in blocks of at most _BLOCK cells, so the only
-    temporary stays small, and rows is overwritten in place.
+    low, which the caller hands over, is split again in place, _BLOCK cells
+    at a time, at its own sigma = 2^(k + m) with top < 2^k: each high part
+    is a multiple of ulp(sigma)/2 no larger than sigma / (n + 2), so their
+    sum s2 is exact in any order (ExtractVector), and the rest is at most
+    u sigma. With e = _radius(n, sigma) around the rest's float sum r,
+    s1 + s2 + rest is returned when fsum of s1, s2 and each end of r -+ e
+    rounds to one nonzero float. A rest of zeros leaves s1 + s2, one
+    rounding. Any other row goes to math.fsum.
     """
-    sigma = np.array([math.ldexp(1.0, math.frexp(t)[1] + m) for t in tops])[:, None]
-    sums = np.zeros(len(tops))
-    step = max(1, _BLOCK // len(tops))
-    for lo in range(0, rows.shape[1], step):
-        block = rows[:, lo:lo + step]
+    n = low.size
+    top = max(np.maximum.reduce(low), -np.minimum.reduce(low))
+    if 0.0 < top < _TINY:  # a rest below 2^-900 is not split again
+        return math.fsum(terms.tolist())
+    # a zero low splits into zeros: s2 = r = 0
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+    s2 = r = 0.0
+    for lo in range(0, n, _BLOCK):
+        block = low[lo:lo + _BLOCK]
         high = block + sigma
         high -= sigma
-        sums += np.add.reduce(high, 1)  # a partial sum of high parts: exact
-        np.subtract(block, high, out=block)
-    return sums.tolist()
-
-
-def _second_split(rows: np.ndarray, s1: List[float], rest: np.ndarray, m: int) -> List[float]:
-    """math.fsum of each row of rows, given s1 and rest from its first split.
-
-    rest, which the caller hands over, is split again in place into an
-    exact s2 and a second rest, and a rigorous bound on that rest's float
-    sum certifies that s1 + s2 + rest rounds to one nonzero float. Any row
-    it does not certify goes to math.fsum.
-    """
-    n = rows.shape[1]
-    tops = _tops(rest).tolist()  # <= u sigma, so below the cap
-    # a row with top == 0 splits into zeros: s2 = 0 and the rest stays
-    s2 = _extract(rest, tops, m)
-    r = np.add.reduce(rest, 1).tolist()
-    mag = np.add.reduce(np.abs(rest, out=rest), 1).tolist()
-    # |r - sum(rest)| <= (n - 1) u sum|rest| / (1 - (n - 1) u) <= e, with
-    # the rounding of e's own sum and product inside the factor of 2
-    scale = 2.0 * n * _U
-    sums = []
-    for row, a, b, t, g, c in zip(rows, s1, s2, tops, mag, r):
-        ok = not 0.0 < t < _TINY  # a rest below 2^-900 is not split again
-        if ok and g == 0.0:  # the splits caught every bit; one addition rounds it
-            below = above = a + b
-        elif ok:
-            e = scale * g
-            below = math.fsum((a, b, math.nextafter(c - e, -math.inf)))
-            above = math.fsum((a, b, math.nextafter(c + e, math.inf)))
-        sums.append(below if ok and below == above != 0.0 else math.fsum(row.tolist()))
-    return sums
+        s2 += float(np.add.reduce(high))  # a partial sum of high parts: exact
+        r += float(np.add.reduce(np.subtract(block, high, out=block)))
+        del high  # before the next block's: one block is held at a time
+    e = _radius(n, sigma)
+    below = math.fsum((s1, s2, math.nextafter(r - e, -math.inf)))
+    above = math.fsum((s1, s2, math.nextafter(r + e, math.inf)))
+    if below != above and not low.any():  # the splits caught every bit
+        below = above = s1 + s2
+    return below if below == above != 0.0 else math.fsum(terms.tolist())
 
 
 def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
@@ -142,7 +125,7 @@ def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
     any other shape is a ValueError. After one split each row's value is
     s1 + low, and it is returned when s1 plus the float sum of low, with
     low's a-priori error bound added and taken away, rounds to one float.
-    The rows this leaves go on to _second_split; signed zeros,
+    Each row this leaves goes on to _second_split by itself; signed zeros,
     non-finite terms, fsum's OverflowError and every uncertified row come
     from math.fsum itself.
     """
@@ -154,14 +137,11 @@ def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
     m = (n + 1).bit_length()  # 2^m >= n + 2
     # sigma <= 2^(m+1) top, so top <= 2^(899-m) keeps sigma <= 2^900
     cap = _HUGE * 2.0 ** -(m + 1)
-    # every |low| <= u sigma, so |fl(sum low) - sum low| <= (n - 1) u n u
-    # sigma / (1 - (n - 1) u) <= e = 2 n^2 u^2 sigma, with the one rounding
-    # of 2n * n inside the factor of 2 (a priori: no pass over low). The
-    # row's sum lies in s1 + [r - e, r + e], and each end below is one IEEE
-    # addition of two floats, correctly rounded: when both ends round to
-    # one float, so does the sum. That float is never a zero, because two
-    # floats add to 0 only when their exact sum is 0, and the ends differ.
-    scale = 2.0 * n * n * _U * _U
+    # every |low| <= u sigma, so the row's sum lies in s1 + [r - e, r + e]
+    # with e = _radius(n, sigma), and each end below is one IEEE addition
+    # of two floats, correctly rounded: when both ends round to one float,
+    # so does the sum. That float is never a zero, because two floats add
+    # to 0 only when their exact sum is 0, and the ends differ.
     if terms.ndim == 1:
         # Python floats from here: the prime sums make hundreds of 1-D calls
         # per run, and each NumPy call on a scalar adds to their fixed cost
@@ -174,12 +154,13 @@ def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
         s1 = float(np.add.reduce(high))
         low = np.subtract(terms, high, out=high)
         r = float(np.add.reduce(low))
-        e = scale * sigma
+        e = _radius(n, sigma)
         below = s1 + math.nextafter(r - e, -math.inf)
         if below == s1 + math.nextafter(r + e, math.inf):
             return below
-        return _second_split(terms[None], [s1], low[None], m)[0]
-    tops = _tops(terms)
+        return _second_split(terms, s1, low, m)
+    # max |term| of each row (nan with a nan), with no np.abs temporary
+    tops = np.maximum(np.maximum.reduce(terms, 1), -np.minimum.reduce(terms, 1))
     split = (tops >= _TINY) & (tops <= cap)  # False on a row with a term that is not finite
     good = terms
     if not split.all():
@@ -191,17 +172,11 @@ def exact_sum(terms: np.ndarray) -> Union[float, np.ndarray]:
     high -= sigma[:, None]
     s1 = np.add.reduce(high, 1)
     low = np.subtract(good, high, out=high)
-    e = scale * sigma
+    e = _radius(n, sigma)
     r = np.add.reduce(low, 1)
     below = s1 + np.nextafter(r - e, -np.inf)
     done = split & (below == s1 + np.nextafter(r + e, np.inf))
-    if done.all():
-        return below
-    again = np.flatnonzero(split & ~done)
-    rest = low[again]
-    del good, high, low  # the first split's temporaries go before the second
-    if again.size:
-        below[again] = _second_split(terms[again], s1[again].tolist(), rest, m)
-    for i in np.flatnonzero(~split).tolist():
-        below[i] = math.fsum(terms[i].tolist())
+    for i in np.flatnonzero(~done).tolist():
+        row = terms[i]
+        below[i] = _second_split(row, s1[i], low[i], m) if split[i] else math.fsum(row.tolist())
     return below

@@ -318,7 +318,7 @@ def _theta_tail_bound(q: int, parity: int, n_terms: int) -> float:
     return 2.0 * math.sqrt(q) * decay / (PI * m * m)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _theta_weights(q: int, parity: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n mod q, g_n = G_a(x_n)/n and h_n = sqrt(pi/q) H_a(x_n) for n = 1..N, frozen.
 
@@ -337,12 +337,6 @@ def _theta_weights(q: int, parity: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
         g = [math.erfc(math.sqrt(t)) for t in x]
         h = [exp1(t) for t in x]
     return _frozen(n % q), _frozen(np.array(g) / n), _frozen(np.array(h) / math.sqrt(q))
-
-
-@lru_cache(maxsize=64)
-def _phases(q: int) -> np.ndarray:
-    """e(m/q) = exp(2 pi i m/q) for m < q, frozen."""
-    return _frozen(np.exp(2j * np.pi * np.arange(q) / q))
 
 
 class _Block:
@@ -402,12 +396,12 @@ class _Block:
             k, q = self.values.shape
             l1 = np.full(k, np.nan, dtype=np.complex128)
             root = np.full(k, np.nan, dtype=np.complex128)
+            phases = np.exp(2j * np.pi * np.arange(q) / q)  # e(m/q) for m < q
             for parity in (0, 1):
                 rows = [r for r, (_e, c, p) in enumerate(self.keys) if c == q and p == parity]
                 if not rows:
                     continue
                 idx, g, h = _theta_weights(q, parity)
-                phases = _phases(q)
                 denom = (1j if parity else 1.0) * math.sqrt(q)
                 step = max(1, _L1_BLOCK_CELLS // max(q, idx.size))
                 for lo in range(0, len(rows), step):

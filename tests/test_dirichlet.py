@@ -355,6 +355,22 @@ def test_theta_tail_bound_holds(q):
                 assert abs(_theta_l1(chi, extra)) <= bound, chi.index
 
 
+def test_theta_weights_are_kept_across_sweeps(monkeypatch):
+    # one sweep to q = 200 uses 295 (q, parity) pairs; a cache that keeps
+    # them all makes a second sweep in one process evaluate no E1 term
+    def sweep():
+        for q in range(3, 201):
+            for chi in _primitive(q):
+                l1_value_series(chi)
+
+    sweep()
+    calls = []
+    exp1 = dirichlet.exp1
+    monkeypatch.setattr(dirichlet, "exp1", lambda t: calls.append(t) or exp1(t))
+    sweep()
+    assert calls == []
+
+
 def test_l1_series_rejects_principal_and_imprimitive():
     with pytest.raises(DomainError, match="principal"):
         l1_value_series(enumerate_characters(5)[0])

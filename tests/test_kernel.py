@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -51,12 +52,12 @@ def _count_fallbacks(monkeypatch):
 
 
 def _count_second_splits(monkeypatch):
-    """Patch _kernel._second_split so the rows that reach it are counted."""
+    """Patch _kernel._second_split so each 1-D row that reaches it is recorded."""
     rows = []
     second_split = _kernel._second_split
 
     def counted(terms, *args):
-        rows.extend(terms.tolist())
+        rows.append(terms.tolist())
         return second_split(terms, *args)
 
     monkeypatch.setattr(_kernel, "_second_split", counted)
@@ -334,6 +335,29 @@ def test_exact_sum_long_rows_near_a_rounding_point(n, seed, scale, offset):
     assert struct.pack("<d", got) == struct.pack("<d", want)
     assert [struct.pack("<d", v) for v in rows.tolist()] == [struct.pack("<d", want)] * 2
     assert len(reached) == 3
+
+
+def test_second_split_temporaries_are_bounded():
+    # 78,000 terms, as in a window sum at x = 1e6, that cancel to 1e-3: the
+    # first split's bracket is wider than ulp(1e-3), so the row is split
+    # again, and settled there. Past the first split's own buffer the second
+    # split holds one block of _BLOCK cells, not another copy of the row
+    terms = np.random.default_rng(2).standard_normal(78000)
+    terms[-1] -= math.fsum(terms.tolist()) - 1e-3
+    want = struct.pack("<d", math.fsum(terms.tolist()))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_fallbacks(mp)
+        reached = _count_second_splits(mp)
+        assert struct.pack("<d", exact_sum(terms)) == want
+    assert len(reached) == 1 and calls == []
+    tracemalloc.start()
+    try:
+        got = exact_sum(terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert struct.pack("<d", got) == want
+    assert peak - terms.nbytes < 2 ** 17
 
 
 def test_exact_sum_rows_agree_with_one_dimensional_calls():

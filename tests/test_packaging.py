@@ -1,8 +1,9 @@
-"""Packaging: pure Python, with nothing generated or ignored under version control."""
+"""Packaging: pure Python, nothing generated or ignored under version control, and a pytest configuration that reports every failure."""
 
 import ast
 import importlib
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +148,32 @@ def test_export_list_matches_the_package_imports():
     ]
     assert len(set(edgebounds.__all__)) == len(edgebounds.__all__)
     assert set(edgebounds.__all__) == set(imported) | {"kernel_backend", "__version__"}
+
+
+_TWO_TESTS = """
+from hypothesis import given, strategies as st
+
+
+@given(st.just(0))
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
+    # hypothesis' failure report imports libcst, which imports a deprecated
+    # mypy_extensions name; with every warning an error, that stopped the
+    # whole session with INTERNALERROR before the next test ran
+    (tmp_path / "test_two.py").write_text(_TWO_TESTS)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
