@@ -3,8 +3,9 @@
 Public surface: the instance model (lfunc), envelope evaluation (bounds),
 prime-power sums (primes), special functions (special), the degree-1
 laboratory (dirichlet), inequality/identity/window audits (audits), and
-the CLI (cli). The smallest-prime-factor sieve behind every prime table is
-one NumPy routine, so ``kernel_backend()`` always reports ``"python"``.
+the CLI (cli). The sieve behind every prime table is one NumPy routine,
+the odd-only bool sieve ``_kernel._odd_primes``, so ``kernel_backend()``
+always reports ``"python"``.
 """
 
 from .audits import (

@@ -1,8 +1,10 @@
 """Deterministic JSON emission shared by the CLI and the survey writer.
 
 Floats serialize via repr (shortest round-trip form); non-finite floats
-become null; complex values become {re, im} objects. Key order is the
-insertion order of the dicts handed in, so reruns are byte-identical.
+become null; complex values become {re, im} objects. A dataclass is
+written as its fields in declaration order, vars(obj), so a record's
+fields are its JSON schema. Key order is the insertion order of the dicts
+handed in, so reruns are byte-identical.
 
 dumps_report writes a document in one pass, each container as one string,
 and keeps dumps_report(obj) == json.dumps(json_ready(obj), indent=2,
@@ -35,11 +37,8 @@ def json_ready(obj: Any) -> Any:
         return obj if math.isfinite(obj) else None
     if isinstance(obj, complex):
         return {"re": json_ready(obj.real), "im": json_ready(obj.imag)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        to_dict = getattr(obj, "to_json_dict", None)
-        if to_dict is not None:
-            return json_ready(to_dict())
-        return json_ready(dataclasses.asdict(obj))
+    if dataclasses.is_dataclass(type(obj)):
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -50,9 +49,10 @@ def json_ready(obj: Any) -> Any:
 def _dump(obj: Any, outer: str) -> str:
     """obj as indent=2 JSON whose closing bracket is indented by outer.
 
-    The exact plain types are written directly; anything else is rewritten
-    by json_ready once and its result dispatched by isinstance, so a
-    subclass such as IntEnum or np.str_ is written, not rewritten again.
+    The exact plain types and a dataclass's fields are written directly;
+    anything else is rewritten by json_ready once and its result dispatched
+    by isinstance, so a subclass such as IntEnum or np.str_ is written, not
+    rewritten again.
     """
     t = type(obj)
     if t is float:  # repr of an exact float or int is float.__repr__ or int.__repr__
@@ -79,6 +79,8 @@ def _dump(obj: Any, outer: str) -> str:
         return "true"
     if obj is False:
         return "false"
+    if dataclasses.is_dataclass(t):
+        return _dump(vars(obj), outer)
     obj = json_ready(obj)
     if isinstance(obj, str):
         return _encode_str(obj)

@@ -78,17 +78,6 @@ class AuditRecord:
         if self.verdict not in ("PASS", "FAIL", "REPORT"):
             raise DomainError("bad verdict %r" % (self.verdict,))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "window": self.window,
-            "residual": self.residual,
-            "verdict": self.verdict,
-        }
-
 
 def _margin_record(audit_id: str, params: dict, lhs: float, rhs: float, margin: float):
     """A margin-style record: window 1e-12, PASS when margin >= -1e-12."""

@@ -53,19 +53,6 @@ class BoundReport:
     terms: Dict[str, object]
     littlewood: Dict[str, float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "logC": self.logC,
-            "L": self.L,
-            "x": self.x,
-            "valid": self.valid,
-            "upper": self.upper,
-            "lower_reciprocal": self.lower_reciprocal,
-            "terms": self.terms,
-            "littlewood": dict(self.littlewood),
-        }
-
 
 def constants(d: int) -> BoundConstants:
     """Closed-form K, J1, J2; expm1 keeps small-d relative error near 1 ulp."""

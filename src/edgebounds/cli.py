@@ -88,14 +88,7 @@ def _doc(command: str, params: dict, payload: dict) -> dict:
 
 
 def _weighted(r: primes.WeightedSumResult) -> dict:
-    return {
-        "x": r.x,
-        "lhs": r.lhs,
-        "main": r.main,
-        "window": r.window,
-        "residual": r.residual,
-        "within_window": r.within_window(),
-    }
+    return dict(vars(r), within_window=r.within_window())
 
 
 def _check_sieve_limit(limit: Optional[int]) -> None:
@@ -125,15 +118,14 @@ def _selected_chars(q: int, index: Optional[int]):
 
 
 def _constants(ns: argparse.Namespace) -> _Result:
-    c = bounds.constants(ns.d)
-    payload = {"constants": {"d": c.d, "K": c.K, "J1": c.J1, "J2": c.J2}}
+    payload = {"constants": bounds.constants(ns.d)}
     return _doc("constants", {"d": ns.d}, payload), []
 
 
 def _bound(ns: argparse.Namespace) -> _Result:
     rep = bounds.upper_bound(ns.d, ns.log_conductor)
     params = {"d": ns.d, "log_conductor": ns.log_conductor}
-    return _doc("bound", params, {"report": rep.to_json_dict()}), []
+    return _doc("bound", params, {"report": rep}), []
 
 
 def _primesums(ns: argparse.Namespace) -> _Result:
@@ -166,7 +158,7 @@ def _audit(ns: argparse.Namespace) -> _Result:
     recs = audits.run_audit(ns.id, ns.grid_steps, ns.qmax, ns.x, ns.sieve_limit)
     params = {"id": ns.id, "grid_steps": ns.grid_steps, "qmax": ns.qmax, "x": ns.x}
     n_fail = sum(1 for r in recs if r.verdict == "FAIL")
-    payload = {"records": [r.to_json_dict() for r in recs], "n_fail": n_fail}
+    payload = {"records": recs, "n_fail": n_fail}
     return _doc("audit", params, payload), recs
 
 
@@ -174,9 +166,8 @@ def _window(ns: argparse.Namespace) -> _Result:
     _check_sieve_limit(ns.sieve_limit)
     limit = primes.table_limit(ns.x, ns.sieve_limit)
     recs = audits.window_records(_selected_chars(ns.q, ns.index), ns.x, limit)
-    rows = [r.to_json_dict() for r in recs]
     params = {"q": ns.q, "index": ns.index, "x": ns.x, "sieve_limit": limit}
-    return _doc("window", params, {"records": rows}), recs
+    return _doc("window", params, {"records": recs}), recs
 
 
 def _dirichlet_l1(ns: argparse.Namespace) -> _Result:

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -721,3 +722,59 @@ def test_module_entry_point():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["constants"]["d"] == 1
+
+
+def _pinned_commands():
+    """(argv, exit code, digest) of every command the parametrized pins above freeze."""
+
+    def params(test):
+        (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+        return mark.args[1]
+
+    cmds = [(argv, 0, d) for argv, d in params(test_window_documents_pinned)]
+    cmds += params(test_audit_documents_pinned)
+    cmds += [(argv, 0, d) for argv, d in params(test_survey_documents_pinned)]
+    cmds += [(["dirichlet", "l1", "--q", str(q)], 0, d)
+             for q, d in params(test_dirichlet_l1_documents_pinned)]
+    return cmds
+
+
+_DIGESTS_OF_ARGVS = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from edgebounds.cli import run
+out = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(argv)
+    out.append([code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def test_pinned_documents_do_not_depend_on_simd_dispatch(capsys):
+    # NumPy picks its SIMD kernels at run time; with every dispatch group this
+    # CPU offers switched off, every pinned document keeps its bytes
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    groups = [g for g in __cpu_dispatch__ if __cpu_features__.get(g)]
+    cmds = _pinned_commands()
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGESTS_OF_ARGVS],
+        input=json.dumps([argv for argv, _code, _digest in cmds]),
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(groups)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert json.loads(proc.stdout) == [[code, digest] for _argv, code, digest in cmds]
+    with capsys.disabled():
+        if groups:
+            print("\n%d pinned documents unchanged with NumPy's %s switched off"
+                  % (len(cmds), ", ".join(groups)))
+        else:
+            print("\nno NumPy SIMD dispatch group to switch off on this CPU; "
+                  "%d pinned documents checked with the default dispatch" % (len(cmds),))

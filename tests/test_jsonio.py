@@ -78,6 +78,12 @@ def test_writer_equals_json_dumps_on_nested_corpus():
     assert dumps_report(doc) == _reference(doc)
 
 
+def test_a_dataclass_is_written_as_its_fields():
+    # the one rule: a to_json_dict method is an ordinary method, not a schema
+    assert json_ready(_WithHook(1j)) == {"z": {"re": 0.0, "im": 1.0}}
+    assert dumps_report(_WithHook(1j)) == '{\n  "z": {\n    "re": 0.0,\n    "im": 1.0\n  }\n}\n'
+
+
 @pytest.mark.parametrize("obj", [object(), {"a": {1, 2}}, [b"bytes"]])
 def test_writer_refuses_what_json_ready_refuses(obj):
     with pytest.raises(TypeError):

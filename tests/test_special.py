@@ -43,6 +43,22 @@ def test_digamma_matches_mpmath_on_grid():
         assert abs(got.value - ref) <= max(1e-13, 5e-14 * abs(ref)) + got.abs_error
 
 
+def test_digamma_within_abs_error_of_mpmath():
+    # no slack: a seeded sample dense in (0.01, 0.1), where the shifts' running
+    # sum is largest, complex points down to Re z = 0.01 and near |z| = 10, and
+    # two points the bound once missed (by 1.81x and 1.06x)
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(0.01, 0.1, 1500).tolist() + rng.uniform(0.1, 30.0, 500).tolist()
+    pts += [complex(a, b) for a, b in zip(rng.uniform(0.01, 30.0, 600), rng.uniform(-60.0, 60.0, 600))]
+    pts += [complex(a, b) for a, b in zip(rng.uniform(0.01, 1.0, 200), rng.uniform(9.0, 11.0, 200))]
+    pts += [0.031504037425398465, complex(1.3022443929302432, -0.23961247888999537)]
+    with mpmath.workdps(40):
+        for z in pts:
+            got = digamma(z)
+            ref = mpmath.digamma(mpmath.mpmathify(z))
+            assert abs(mpmath.mpmathify(got.value) - ref) <= got.abs_error, z
+
+
 def test_digamma_recurrence():
     rng = np.random.default_rng(7)
     for _ in range(40):
